@@ -9,7 +9,8 @@ use sse_primitives::aes::Aes128;
 use sse_primitives::chacha20::prg_expand;
 use sse_primitives::drbg::HmacDrbg;
 use sse_primitives::elgamal::ElGamal;
-use sse_primitives::hashchain::{chain_step, walk_forward};
+use sse_primitives::etm::EtmKey;
+use sse_primitives::hashchain::{chain_step, walk_forward, HashChain};
 use sse_primitives::hmac::hmac_sha256;
 use sse_primitives::modp::ModpGroup;
 use sse_primitives::sha256::sha256;
@@ -36,6 +37,13 @@ fn bench_hashing(c: &mut Criterion) {
         let k = [4u8; 32];
         b.iter(|| std::hint::black_box(walk_forward(&k, 1024)));
     });
+    // The Scheme 2 client's first use of a keyword at `--scheme2-chain
+    // 8192`: one pass over the whole chain to lay down the checkpoints.
+    group.bench_function("chain_with_checkpoints_8192", |b| {
+        b.iter(|| {
+            std::hint::black_box(HashChain::with_checkpoints(&[b"w", b"k"], 8192));
+        });
+    });
     group.finish();
 }
 
@@ -46,6 +54,16 @@ fn bench_ciphers(c: &mut Criterion) {
         let block = [6u8; 16];
         b.iter(|| std::hint::black_box(aes.encrypt(&block)));
     });
+    // Verify-then-decrypt of one sealed record, the client's cost per
+    // matched record in a search.
+    for size in [4096usize, 65536] {
+        let key = EtmKey::new(&[8u8; 32]);
+        let ct = key.seal(&vec![0x5Au8; size]);
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::new("etm_open", size), &ct, |b, ct| {
+            b.iter(|| std::hint::black_box(key.open(ct).expect("authentic")));
+        });
+    }
     for size in [128usize, 4096] {
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::new("prg_expand", size), &size, |b, &size| {

@@ -11,42 +11,80 @@ use crate::aes::{Aes128, BLOCK_LEN};
 /// Length of the per-message IV in bytes.
 pub const IV_LEN: usize = 12;
 
+/// Keystream blocks produced per refill: one interleaved AES-NI batch.
+const KS_BLOCKS: usize = 8;
+
 /// AES-128-CTR keystream generator / cipher.
+///
+/// The keystream is one continuous stream across [`AesCtr::apply`] calls:
+/// bytes of a keystream block left over by one call are used by the next,
+/// so splitting a message anywhere gives the same ciphertext as one call.
 pub struct AesCtr {
     aes: Aes128,
-    counter_block: [u8; BLOCK_LEN],
+    iv: [u8; IV_LEN],
     next_block_index: u32,
+    /// Keystream from the last refill; bytes `ks_used..ks_len` are unused.
+    keystream: [[u8; BLOCK_LEN]; KS_BLOCKS],
+    ks_len: usize,
+    ks_used: usize,
 }
 
 impl AesCtr {
     /// Create a CTR instance for one message under `key` and `iv`.
     #[must_use]
     pub fn new(key: &[u8; 16], iv: &[u8; IV_LEN]) -> Self {
-        let mut counter_block = [0u8; BLOCK_LEN];
-        counter_block[..IV_LEN].copy_from_slice(iv);
         AesCtr {
             aes: Aes128::new(key),
-            counter_block,
+            iv: *iv,
             next_block_index: 0,
+            keystream: [[0u8; BLOCK_LEN]; KS_BLOCKS],
+            ks_len: 0,
+            ks_used: 0,
         }
     }
 
-    fn keystream_block(&mut self) -> [u8; BLOCK_LEN] {
-        self.counter_block[IV_LEN..].copy_from_slice(&self.next_block_index.to_be_bytes());
-        self.next_block_index = self
-            .next_block_index
-            .checked_add(1)
-            .expect("CTR counter overflow: message too long");
-        self.aes.encrypt(&self.counter_block)
+    /// Start the keystream at block `index` instead of 0 (for published
+    /// vectors whose initial counter block is not `IV || 0`).
+    #[cfg(test)]
+    pub(crate) fn starting_at_block(mut self, index: u32) -> Self {
+        self.next_block_index = index;
+        self
+    }
+
+    /// Replace the keystream with the next `blocks` (at most [`KS_BLOCKS`])
+    /// counter blocks, encrypted in one batch.
+    fn refill(&mut self, blocks: usize) {
+        let batch = &mut self.keystream[..blocks];
+        for block in batch.iter_mut() {
+            block[..IV_LEN].copy_from_slice(&self.iv);
+            block[IV_LEN..].copy_from_slice(&self.next_block_index.to_be_bytes());
+            self.next_block_index = self
+                .next_block_index
+                .checked_add(1)
+                .expect("CTR counter overflow: message too long");
+        }
+        self.aes.encrypt_blocks(batch);
+        self.ks_len = blocks * BLOCK_LEN;
+        self.ks_used = 0;
     }
 
     /// XOR the keystream into `data` (encrypts or decrypts).
     pub fn apply(&mut self, data: &mut [u8]) {
-        for chunk in data.chunks_mut(BLOCK_LEN) {
-            let ks = self.keystream_block();
-            for (d, k) in chunk.iter_mut().zip(ks.iter()) {
+        let mut rest = data;
+        while !rest.is_empty() {
+            if self.ks_used == self.ks_len {
+                // Only as many blocks as the data still needs: a message
+                // never pays for keystream past its end.
+                self.refill(rest.len().div_ceil(BLOCK_LEN).min(KS_BLOCKS));
+            }
+            let ks = &self.keystream.as_flattened()[self.ks_used..self.ks_len];
+            let take = ks.len().min(rest.len());
+            let (head, tail) = core::mem::take(&mut rest).split_at_mut(take);
+            for (d, k) in head.iter_mut().zip(ks) {
                 *d ^= k;
             }
+            self.ks_used += take;
+            rest = tail;
         }
     }
 }
@@ -127,13 +165,32 @@ mod tests {
         let iv = [0x55u8; 12];
         let pt: Vec<u8> = (0..123u8).collect();
         let oneshot = ctr_encrypt(&key, &iv, &pt);
-        // Applying in two chunks must give the same result only when chunk
-        // sizes are multiples of the block size (CTR state is per block).
-        let mut data = pt.clone();
-        let mut c = AesCtr::new(&key, &iv);
-        let (a, b) = data.split_at_mut(48);
-        c.apply(a);
-        c.apply(b);
-        assert_eq!(data, oneshot);
+        // The keystream continues across calls, so every split point —
+        // block-aligned or not — gives the one-shot ciphertext.
+        for split in 0..=pt.len() {
+            let mut data = pt.clone();
+            let mut c = AesCtr::new(&key, &iv);
+            let (a, b) = data.split_at_mut(split);
+            c.apply(a);
+            c.apply(b);
+            assert_eq!(data, oneshot, "split at {split}");
+        }
+    }
+
+    #[test]
+    fn streaming_in_small_pieces_matches_oneshot() {
+        // Many calls, each shorter than a block or straddling a refill.
+        let key = [0x66u8; 16];
+        let iv = [0x77u8; 12];
+        let pt: Vec<u8> = (0..300u16).map(|i| (i % 251) as u8).collect();
+        let oneshot = ctr_encrypt(&key, &iv, &pt);
+        for piece in [1usize, 3, 15, 17, 127, 129] {
+            let mut data = pt.clone();
+            let mut c = AesCtr::new(&key, &iv);
+            for chunk in data.chunks_mut(piece) {
+                c.apply(chunk);
+            }
+            assert_eq!(data, oneshot, "pieces of {piece}");
+        }
     }
 }

@@ -9,9 +9,9 @@
 //!
 //! Wire format: `IV (12 bytes) || ciphertext || tag (32 bytes)`.
 
-use crate::ctr::{ctr_encrypt, IV_LEN};
+use crate::ctr::{AesCtr, IV_LEN};
 use crate::error::{CryptoError, Result};
-use crate::hmac::{hmac_sha256_concat, HmacSha256};
+use crate::hmac::{hmac_sha256, HmacSha256};
 use crate::kdf::derive_subkeys;
 
 /// Tag length in bytes.
@@ -43,11 +43,12 @@ impl EtmKey {
     /// from OS entropy.
     #[must_use]
     pub fn seal_with_iv(&self, iv: &[u8; IV_LEN], plaintext: &[u8]) -> Vec<u8> {
-        let body = ctr_encrypt(&self.enc_key, iv, plaintext);
-        let tag = hmac_sha256_concat(&self.mac_key, &[iv, &body]);
-        let mut out = Vec::with_capacity(IV_LEN + body.len() + TAG_LEN);
+        // Encrypt in place in the output buffer, then MAC `IV || body`.
+        let mut out = Vec::with_capacity(Self::ciphertext_len(plaintext.len()));
         out.extend_from_slice(iv);
-        out.extend_from_slice(&body);
+        out.extend_from_slice(plaintext);
+        AesCtr::new(&self.enc_key, iv).apply(&mut out[IV_LEN..]);
+        let tag = hmac_sha256(&self.mac_key, &out);
         out.extend_from_slice(&tag);
         out
     }
@@ -83,7 +84,9 @@ impl EtmKey {
         }
 
         let iv_arr: [u8; IV_LEN] = iv.try_into().expect("split_at gives exact length");
-        Ok(crate::ctr::ctr_decrypt(&self.enc_key, &iv_arr, body))
+        let mut plaintext = body.to_vec();
+        AesCtr::new(&self.enc_key, &iv_arr).apply(&mut plaintext);
+        Ok(plaintext)
     }
 
     /// Ciphertext length for a plaintext of `len` bytes.
@@ -161,6 +164,22 @@ mod tests {
         let c1 = k.seal(b"same plaintext");
         let c2 = k.seal(b"same plaintext");
         assert_ne!(c1, c2, "IND-CPA requires randomized encryption");
+    }
+
+    /// Pinned output: sealed bytes are part of the wire and on-disk
+    /// formats, so they must not depend on which AES/SHA-256 code ran.
+    #[test]
+    fn seal_with_iv_known_answer() {
+        let pt: Vec<u8> = (0..40u16).map(|i| (i * 7 % 251) as u8).collect();
+        let ct = key().seal_with_iv(&[7u8; IV_LEN], &pt);
+        let hex: String = ct.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "070707070707070707070707\
+             9e6f1a6193aa750817e85bb93ddc51b30b776e33d1ca7bf132b72c08835768a00bd9d1f16ee42908\
+             191f1139b859e8a813120e51f679a58d06aeae9d2ea5ca7cc3fefdca00c0ea30"
+        );
+        assert_eq!(key().open(&ct).unwrap(), pt);
     }
 
     #[test]

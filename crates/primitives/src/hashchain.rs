@@ -7,17 +7,32 @@
 //! provides both walks plus the exhaustion bookkeeping of §5.6.
 
 use crate::error::{CryptoError, Result};
-use crate::sha256::{sha256_concat, Sha256};
+use crate::sha256::{digest_padded_block, Sha256, BLOCK_LEN};
 
 /// A single chain element (32 bytes).
 pub type ChainKey = [u8; 32];
 
-/// One application of the chain function `h`.
+/// Domain-separation prefix of [`chain_step`]'s input.
+const STEP_PREFIX: &[u8] = b"sse/chain-step";
+/// Length of [`chain_step`]'s input: prefix plus element (46 bytes).
+const STEP_INPUT_LEN: usize = STEP_PREFIX.len() + 32;
+
+/// One application of the chain function `h`: SHA-256 of
+/// `"sse/chain-step" || element`.
 ///
-/// Domain-separated from every other SHA-256 use in the workspace.
+/// Domain-separated from every other SHA-256 use in the workspace. The
+/// 46-byte input always fits one padded block, so the step is a single
+/// compression with no hasher buffering.
 #[must_use]
 pub fn chain_step(element: &ChainKey) -> ChainKey {
-    sha256_concat(&[b"sse/chain-step", element])
+    // The padded block (FIPS 180-4 §5.1.1): input, 0x80, zeros, and the
+    // input's bit length as a 64-bit big-endian integer.
+    let mut block = [0u8; BLOCK_LEN];
+    block[..STEP_PREFIX.len()].copy_from_slice(STEP_PREFIX);
+    block[STEP_PREFIX.len()..STEP_INPUT_LEN].copy_from_slice(element);
+    block[STEP_INPUT_LEN] = 0x80;
+    block[BLOCK_LEN - 8..].copy_from_slice(&((STEP_INPUT_LEN as u64) * 8).to_be_bytes());
+    digest_padded_block(&block)
 }
 
 /// Derive the chain's base element `h^0` from arbitrary seed material
@@ -170,6 +185,21 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn chain_step_is_sha256_of_prefix_and_element() {
+        use crate::sha256::sha256_concat;
+        let mut k = [0u8; 32];
+        for i in 0..64u8 {
+            assert_eq!(
+                chain_step(&k),
+                sha256_concat(&[STEP_PREFIX, &k]),
+                "step {i}"
+            );
+            k = chain_step(&k);
+            k[0] ^= i;
+        }
+    }
 
     #[test]
     fn chain_is_deterministic() {

@@ -24,10 +24,28 @@
 //! FIPS 197, RFC 2104, RFC 8439) and pass the official test vectors, but they
 //! exist to reproduce a research paper's *cost model and functionality*, not
 //! to protect production data. Use a vetted crypto library for real systems.
+//!
+//! In particular the portable AES indexes its S-box table with secret
+//! bytes (key and state), so its memory access pattern — and thus its cache
+//! timing — depends on the key. On x86_64 CPUs with AES-NI, block
+//! encryption runs in hardware instead, which has no secret-dependent table
+//! lookups; the portable key schedule and decryption are still table-based.
+//!
+//! ## Hardware kernels
+//!
+//! On x86_64, SHA-256 compression and AES-128 encryption run on SHA-NI and
+//! AES-NI when the CPU has them, checked at run time; otherwise, and on
+//! every other target, the portable code runs. Both compute the same
+//! function, so outputs never depend on the CPU. The kernels live in the
+//! private `accel` module, the only place the crate allows `unsafe`.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+// The only `unsafe` in the crate: run-time-selected SHA-NI / AES-NI kernels.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod accel;
 pub mod aes;
 pub mod bignum;
 pub mod chacha20;

@@ -3,6 +3,10 @@
 //! Provides both a one-shot [`sha256`] function and an incremental
 //! [`Sha256`] hasher. This is the hash underlying the paper's PRF `f`
 //! (via HMAC), the Lamport chain `h`, and the key-derivation function.
+//!
+//! The compression function has two implementations computing the same
+//! thing: the portable one below, and on x86_64 CPUs with SHA-NI the
+//! hardware kernel in `accel`, chosen at run time.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -11,7 +15,7 @@ pub const BLOCK_LEN: usize = 64;
 
 /// Round constants: first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes (FIPS 180-4 §4.2.2).
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -24,7 +28,7 @@ const K: [u32; 64] = [
 
 /// Initial hash state: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes (FIPS 180-4 §5.3.3).
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -80,23 +84,20 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
+                compress_blocks(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        // Whole blocks straight from the input.
-        while data.len() >= BLOCK_LEN {
-            let (block, rest) = data.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        // Whole blocks straight from the input, in one call.
+        let whole = data.len() - data.len() % BLOCK_LEN;
+        let (blocks, tail) = data.split_at(whole);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
         // Stash the tail.
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
     }
 
@@ -116,11 +117,7 @@ impl Sha256 {
         self.update_no_len(&pad[..pad_len]);
         debug_assert_eq!(self.buf_len, 0);
 
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        state_bytes(&self.state)
     }
 
     /// Like `update` but without advancing the message length counter — used
@@ -130,52 +127,91 @@ impl Sha256 {
         self.update(data);
         self.len = saved;
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for t in 16..64 {
-            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-            w[t] = w[t - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[t - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for t in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[t])
-                .wrapping_add(w[t]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// Big-endian serialisation of the hash state: the digest.
+fn state_bytes(state: &[u32; 8]) -> [u8; DIGEST_LEN] {
+    let mut out = [0u8; DIGEST_LEN];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
     }
+    out
+}
+
+/// Run the compression function over every 64-byte block of `blocks`, on
+/// the SHA-NI kernel when the CPU has it.
+#[inline]
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ni) = crate::accel::ShaNi::detect() {
+        return ni.compress_blocks(state, blocks);
+    }
+    compress_blocks_portable(state, blocks);
+}
+
+/// SHA-256 of a message that fits in one block, passed already padded
+/// (message, `0x80`, zeros, 64-bit big-endian bit length): one compression
+/// and no buffering.
+#[must_use]
+pub(crate) fn digest_padded_block(block: &[u8; BLOCK_LEN]) -> [u8; DIGEST_LEN] {
+    let mut state = H0;
+    compress_blocks(&mut state, block);
+    state_bytes(&state)
+}
+
+/// The portable compression function (FIPS 180-4 §6.2.2), over every
+/// 64-byte block of `blocks`.
+pub(crate) fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(BLOCK_LEN) {
+        compress_portable(state, block);
+    }
+}
+
+fn compress_portable(state: &mut [u32; 8], block: &[u8]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for t in 16..64 {
+        let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+        let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+        w[t] = w[t - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[t - 7])
+            .wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for t in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[t])
+            .wrapping_add(w[t]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
 }
 
 /// One-shot SHA-256 of `data`.
