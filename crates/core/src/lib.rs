@@ -60,6 +60,7 @@ pub mod scheme1;
 pub mod scheme2;
 pub mod security;
 pub mod shard;
+pub mod sharded;
 pub mod types;
 
 pub use error::{Result, SseError};

@@ -8,6 +8,7 @@
 use super::protocol::{self, UpdateEntry};
 use super::Scheme1Config;
 use crate::error::{Result, SseError};
+use crate::proto_common;
 use crate::scheme::SseClientApi;
 use crate::types::{Document, Keyword, MasterKey, SearchHits};
 use sse_index::bitset::DocBitSet;
@@ -118,7 +119,7 @@ impl<T: Transport> Scheme1Client<T> {
                 .map(|d| (d.id, self.seal_blob(&d.data)))
                 .collect();
             let resp = self.link.round_trip(&protocol::encode_put_docs(&blobs))?;
-            protocol::decode_ack(&resp)?;
+            proto_common::decode_ack(&resp)?;
         }
 
         // MetadataStorage: gather U(w) for each unique keyword.
@@ -195,7 +196,7 @@ impl<T: Transport> Scheme1Client<T> {
         }
         let responses = self.link.round_trip_batch(&parts)?;
         for resp in &responses {
-            protocol::decode_ack(resp)?;
+            proto_common::decode_ack(resp)?;
         }
         Ok(())
     }
@@ -221,7 +222,7 @@ impl<T: Transport> Scheme1Client<T> {
         let resp = self
             .link
             .round_trip(&protocol::encode_apply_updates(&entries))?;
-        protocol::decode_ack(&resp)
+        proto_common::decode_ack(&resp)
     }
 
     /// Turn `tag → U(w)` arrays plus their fetched `F(r)` slots into masked
@@ -273,7 +274,7 @@ impl<T: Transport> Scheme1Client<T> {
         let resp = self
             .link
             .round_trip(&protocol::encode_search_reveal(&tag, &seed))?;
-        let encrypted = protocol::decode_result(&resp)?;
+        let encrypted = proto_common::decode_result(&resp)?;
         let mut hits = Vec::with_capacity(encrypted.len());
         for (id, blob) in encrypted {
             hits.push((id, self.etm.open(&blob)?));
@@ -362,7 +363,7 @@ impl<T: Transport> Scheme1Client<T> {
             let resp = self
                 .link
                 .round_trip(&protocol::encode_apply_updates(&entries))?;
-            protocol::decode_ack(&resp)?;
+            proto_common::decode_ack(&resp)?;
         }
         Ok(out)
     }
@@ -432,7 +433,7 @@ impl<T: Transport> Scheme1Client<T> {
             });
         }
         for (slot, resp) in reveal_pos.iter().zip(&reveal_responses) {
-            let encrypted = protocol::decode_result(resp)?;
+            let encrypted = proto_common::decode_result(resp)?;
             let mut hits = Vec::with_capacity(encrypted.len());
             for (id, blob) in encrypted {
                 hits.push((id, self.etm.open(&blob)?));
@@ -459,7 +460,7 @@ impl<T: Transport> Scheme1Client<T> {
             let resp = self
                 .link
                 .round_trip(&protocol::encode_apply_updates(&entries))?;
-            protocol::decode_ack(&resp)?;
+            proto_common::decode_ack(&resp)?;
         }
         Ok(out)
     }
@@ -494,7 +495,7 @@ impl<T: Transport> Scheme1Client<T> {
     /// Protocol failures, or a server-side error for in-memory servers.
     pub fn request_checkpoint(&mut self) -> Result<()> {
         let resp = self.link.round_trip(&protocol::encode_checkpoint())?;
-        protocol::decode_ack(&resp)
+        proto_common::decode_ack(&resp)
     }
 
     /// Capacity migration (extension; two rounds): grow the database's
@@ -548,7 +549,7 @@ impl<T: Transport> Scheme1Client<T> {
         let resp = self
             .link
             .round_trip(&protocol::encode_replace_index(new_capacity, &entries))?;
-        protocol::decode_ack(&resp)?;
+        proto_common::decode_ack(&resp)?;
         self.config.capacity_docs = new_capacity;
         Ok(())
     }
@@ -568,7 +569,7 @@ impl<T: Transport> Scheme1Client<T> {
                 delta,
                 f_r: f_r_new,
             }]))?;
-        protocol::decode_ack(&resp)
+        proto_common::decode_ack(&resp)
     }
 
     /// Sample a fresh nonce `r'`, returning its PRG seed and serialized

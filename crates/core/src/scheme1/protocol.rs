@@ -5,6 +5,7 @@
 //! [`sse_net::wire`] codec; the server treats every field as untrusted.
 
 use crate::error::{Result, SseError};
+use crate::proto_common::expect_tag;
 use sse_net::wire::{WireReader, WireWriter};
 
 /// Request tag bytes (client → server).
@@ -34,15 +35,14 @@ pub mod REQ_TAGS {
     pub const CHECKPOINT: u8 = 0x09;
 }
 
-/// Response tag bytes (server → client).
+/// Scheme 1 response tag bytes (server → client). `Ack` (0x81), `Result`
+/// (0x85), `ResultMany` (0x86) and `Error` (0xFF) are the shared
+/// [`crate::proto_common`] responses.
 mod RESP_TAGS {
     #![allow(non_snake_case)]
-    pub const ACK: u8 = 0x81;
     pub const NONCES: u8 = 0x82;
     pub const FOUND: u8 = 0x84;
-    pub const RESULT: u8 = 0x85;
     pub const INDEX_DUMP: u8 = 0x87;
-    pub const ERROR: u8 = 0xFF;
 }
 
 /// One update entry of `ApplyUpdates`: the tag, the XOR delta to fold into
@@ -157,14 +157,6 @@ pub fn encode_replace_index(capacity: u64, entries: &[UpdateEntry]) -> Vec<u8> {
 
 // ---- server-side encoders -------------------------------------------------
 
-/// Encode `Ack`.
-#[must_use]
-pub fn encode_ack() -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u8(RESP_TAGS::ACK);
-    w.finish()
-}
-
 /// Encode `Nonces`: per requested tag, the stored `F(r)` or absence.
 #[must_use]
 pub fn encode_nonces(items: &[Option<Vec<u8>>]) -> Vec<u8> {
@@ -195,24 +187,6 @@ pub fn encode_found(f_r: Option<&[u8]>) -> Vec<u8> {
         None => {
             w.put_u8(0);
         }
-    }
-    w.finish()
-}
-
-/// Encode `Result` (search round 2 response).
-#[must_use]
-pub fn encode_result(docs: &[(u64, Vec<u8>)]) -> Vec<u8> {
-    encode_result_with(docs, Vec::new())
-}
-
-/// Encode `Result` into a recycled buffer (capacity reused, contents
-/// discarded) — see [`crate::proto_common::encode_result_with`].
-#[must_use]
-pub fn encode_result_with(docs: &[(u64, Vec<u8>)], buf: Vec<u8>) -> Vec<u8> {
-    let mut w = WireWriter::with_buf(buf);
-    w.put_u8(RESP_TAGS::RESULT).put_u64(docs.len() as u64);
-    for (id, blob) in docs {
-        w.put_u64(*id).put_bytes(blob);
     }
     w.finish()
 }
@@ -253,41 +227,7 @@ pub fn decode_index_dump(buf: &[u8]) -> Result<Vec<DumpedEntry>> {
     Ok(out)
 }
 
-/// Encode `Error`.
-#[must_use]
-pub fn encode_error(msg: &str) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u8(RESP_TAGS::ERROR).put_bytes(msg.as_bytes());
-    w.finish()
-}
-
 // ---- client-side decoders -------------------------------------------------
-
-fn expect_tag(r: &mut WireReader<'_>, want: u8, what: &'static str) -> Result<()> {
-    let got = r.get_u8()?;
-    if got == RESP_TAGS::ERROR {
-        let msg = String::from_utf8_lossy(r.get_bytes()?).into_owned();
-        return Err(SseError::ProtocolViolation {
-            expected: what,
-            got: format!("server error: {msg}"),
-        });
-    }
-    if got != want {
-        return Err(SseError::ProtocolViolation {
-            expected: what,
-            got: format!("tag {got:#04x}"),
-        });
-    }
-    Ok(())
-}
-
-/// Decode `Ack`.
-pub fn decode_ack(buf: &[u8]) -> Result<()> {
-    let mut r = WireReader::new(buf);
-    expect_tag(&mut r, RESP_TAGS::ACK, "Ack")?;
-    r.finish()?;
-    Ok(())
-}
 
 /// Decode `Nonces`.
 pub fn decode_nonces(buf: &[u8]) -> Result<Vec<Option<Vec<u8>>>> {
@@ -317,21 +257,6 @@ pub fn decode_found(buf: &[u8]) -> Result<Option<Vec<u8>>> {
     } else {
         None
     };
-    r.finish()?;
-    Ok(out)
-}
-
-/// Decode `Result`.
-pub fn decode_result(buf: &[u8]) -> Result<Vec<(u64, Vec<u8>)>> {
-    let mut r = WireReader::new(buf);
-    expect_tag(&mut r, RESP_TAGS::RESULT, "Result")?;
-    let n = r.get_count(16)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = r.get_u64()?;
-        let blob = r.get_bytes()?.to_vec();
-        out.push((id, blob));
-    }
     r.finish()?;
     Ok(out)
 }
@@ -444,6 +369,7 @@ pub fn decode_request(buf: &[u8]) -> Result<Request> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto_common::{decode_ack, decode_result, encode_ack, encode_error, encode_result};
 
     #[test]
     fn put_docs_round_trip() {

@@ -7,156 +7,165 @@
 //! nonce. Every request is decoded defensively; malformed input produces an
 //! error response, never a panic.
 //!
-//! ## Sharding, group commit and snapshot reads
-//!
-//! The keyword index is partitioned into N shards by
-//! [`crate::shard::shard_of`] over the tag — a public function of data the
-//! server already sees, so the leakage profile is unchanged (DESIGN.md
-//! §4d/§4e). Each shard is a pipeline, not a single mutex:
-//!
-//! * **Mutations** stage their journal record into the shard's
-//!   [`GroupCommitter`], which batches concurrent records into one
-//!   vectored write + one fsync (the PR 3 benchmark showed per-op fsyncs
-//!   dominate serving cost). Only after its group's fsync does a mutation
-//!   apply to the shard tree — in sequence-number order, enforced by a
-//!   per-shard condvar — and only after applying is it acknowledged. The
-//!   journal-then-ack durability contract is exactly as before; the fsync
-//!   is merely shared.
-//! * **Searches** never touch the shard mutex: every apply publishes an
-//!   immutable copy-on-write snapshot ([`sse_index::bptree::BpTree`]
-//!   clones are O(1) structural shares), and reads resolve tags against
-//!   the snapshot. A search therefore never queues behind an in-flight
-//!   fsync. A global epoch seqlock makes multi-shard batch swaps atomic
-//!   to readers: the coordinator publishes all touched shards inside an
-//!   odd-epoch window and readers retry around it.
-//!
-//! Mutations touching several shards stage [`crate::shard`] batch slices
-//! under every affected committer's stage lock (ascending), so crash
-//! recovery keeps them all-or-nothing; they apply under all affected data
-//! locks. Lock order everywhere: geometry → stage locks ascending → data
-//! locks ascending → document store. Mutations hold the geometry read
-//! lock across their whole stage→apply pipeline, so `ReplaceIndex` and
-//! checkpoints (geometry writers) run fully quiesced.
+//! Sharding, group commit, snapshot reads, checkpoints and recovery are
+//! the [`ShardedIndex`] core's; this module supplies the Scheme 1 entry
+//! (the masked array and `F(r)` per tag), its request handler and its
+//! reveal path. The index metadata is the capacity [`Geometry`]: every
+//! mutation pipeline holds it for reading, and `ReplaceIndex` rewrites it
+//! under the write lock, fully quiesced.
 
 use super::protocol::{self, Request, UpdateEntry};
-use crate::commit::{CommitCounters, CommitStats, GroupCommitter};
 use crate::error::{Result, SseError};
-use crate::health::{ScrubFindings, TenantHealth};
-use crate::journal::{IndexJournal, ServerRecovery};
-use crate::shard::{self, shard_of, BatchId};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use crate::proto_common;
+use crate::sharded::{IndexOptions, SchemeEntry, ShardData, ShardedIndex};
 use sse_index::bitset::DocBitSet;
 use sse_index::bptree::BpTree;
 use sse_net::link::Service;
 use sse_net::wire::{WireReader, WireWriter};
 use sse_primitives::prg::Prg;
-use sse_storage::crc32::crc32;
-use sse_storage::lsm::{LsmDocStore, LsmKeywordMap};
-use sse_storage::store::DocStore;
-use sse_storage::{
-    resolve_backend, BackendCounters, BackendKind, DocBlobStore, KeywordMap, RealVfs, StorageError,
-    Vfs,
-};
-use std::collections::{BTreeMap, HashSet};
+use sse_storage::StorageError;
+use std::ops::Deref;
 use std::path::Path;
 use std::result::Result as StdResult;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
-
-/// Snapshot magic, v2: the body leads with the `last_op_seq` covered by
-/// the snapshot so journal replay can skip already-applied mutations.
-const INDEX_MAGIC: &[u8; 8] = b"SSE1IDX2";
-/// Shard manifest file inside the server's home directory.
-const MANIFEST_FILE: &str = "scheme1.meta";
-
-/// Index snapshot file for shard `i`. Shard 0 keeps the pre-sharding name
-/// so single-shard directories stay readable by (and from) older layouts.
-fn index_file(i: usize) -> String {
-    if i == 0 {
-        "scheme1.index".to_string()
-    } else {
-        format!("scheme1.{i}.index")
-    }
-}
-
-/// Journal file for shard `i` (same legacy-name rule as [`index_file`]).
-fn journal_file(i: usize) -> String {
-    if i == 0 {
-        "scheme1.wal".to_string()
-    } else {
-        format!("scheme1.{i}.wal")
-    }
-}
-
-/// LSM keyword-map file prefix for shard `i` (lsm backend only).
-fn kw_prefix(i: usize) -> String {
-    format!("scheme1.kw{i}")
-}
 
 /// One searchable representation as stored by the server.
 #[derive(Clone)]
-struct Entry {
+pub struct Entry {
     /// `I(w) ⊕ G(r)`.
     masked_index: Vec<u8>,
     /// Serialized `F(r)`.
     f_r: Vec<u8>,
 }
 
-/// A shard's mutable state: the live tree plus the highest op-seq applied
-/// to it. Mutations apply in seq order (`applied_seq + 1 == my_seq`).
-struct ShardData {
-    tree: BpTree<[u8; 32], Entry>,
-    applied_seq: u64,
-    /// Tags mutated since the last checkpoint. Only tracked under the lsm
-    /// backend, which flushes exactly these into its keyword map; the
-    /// btree backend rewrites the whole snapshot file and never records.
-    dirty: HashSet<[u8; 32]>,
-    /// A `ReplaceIndex` happened since the last checkpoint (lsm backend).
-    cleared: bool,
-    /// Durable per-shard keyword-map persistence (lsm backend only; the
-    /// btree backend keeps the monolithic `scheme1.index` snapshot).
-    kw_map: Option<LsmKeywordMap>,
-}
-
-impl ShardData {
-    /// Record a durable mutation of `tag` for the next checkpoint flush.
-    fn note_mutated(&mut self, tag: [u8; 32]) {
-        if self.kw_map.is_some() {
-            self.dirty.insert(tag);
-        }
-    }
-
-    /// Record a full index replacement for the next checkpoint flush.
-    fn note_cleared(&mut self) {
-        if self.kw_map.is_some() {
-            self.dirty.clear();
-            self.cleared = true;
-        }
-    }
-}
-
-/// The immutable view searches resolve against. Carries the capacity so
-/// the read path needs no geometry lock; a `ReplaceIndex` swaps tree and
-/// capacity together.
-struct SnapShard {
-    tree: BpTree<[u8; 32], Entry>,
-    capacity_docs: u64,
-}
-
-/// One index shard: group-commit pipeline + live tree + search snapshot.
-struct ShardSlot {
-    data: Mutex<ShardData>,
-    /// Signaled whenever `applied_seq` advances.
-    applied: Condvar,
-    committer: GroupCommitter,
-    snap: RwLock<Arc<SnapShard>>,
-}
-
-/// Index width geometry — read (and held) by every mutation pipeline,
-/// rewritten only under full quiescence (`ReplaceIndex`, checkpoint).
-struct Geometry {
+/// Index width geometry: the Scheme 1 index metadata.
+#[derive(Clone, Copy)]
+pub struct Geometry {
     capacity_docs: u64,
     index_bytes: usize,
+}
+
+impl Geometry {
+    fn new(capacity_docs: u64) -> Self {
+        Geometry {
+            capacity_docs,
+            index_bytes: (capacity_docs as usize).div_ceil(8),
+        }
+    }
+}
+
+/// The Scheme 1 [`SchemeEntry`]: masked bit arrays under a capacity
+/// geometry. Snapshots and keyword-map metas persist the capacity, and
+/// every stored array must be exactly the geometry's width.
+pub struct Scheme1Entry;
+
+impl SchemeEntry for Scheme1Entry {
+    type Value = Entry;
+    type Meta = Geometry;
+    const PREFIX: &'static str = "scheme1";
+    /// v2: the body leads with the `last_op_seq` covered by the snapshot.
+    const MAGIC: &'static [u8; 8] = b"SSE1IDX2";
+
+    fn put_value(entry: &Entry, w: &mut WireWriter) {
+        w.put_bytes(&entry.masked_index);
+        w.put_bytes(&entry.f_r);
+    }
+
+    fn get_value(r: &mut WireReader<'_>, geometry: &Geometry) -> Result<Entry> {
+        let masked_index = r.get_bytes()?.to_vec();
+        if masked_index.len() != geometry.index_bytes {
+            return Err(SseError::Storage(StorageError::Corrupt {
+                what: "scheme1 index entry",
+                detail: format!(
+                    "entry width {} != expected {}",
+                    masked_index.len(),
+                    geometry.index_bytes
+                ),
+            }));
+        }
+        let f_r = r.get_bytes()?.to_vec();
+        Ok(Entry { masked_index, f_r })
+    }
+
+    fn put_meta(geometry: &Geometry, w: &mut WireWriter) {
+        w.put_u64(geometry.capacity_docs);
+    }
+
+    fn check_meta(r: &mut WireReader<'_>, geometry: &Geometry) -> Result<()> {
+        let capacity = r.get_u64()?;
+        if capacity != geometry.capacity_docs {
+            return Err(SseError::Storage(StorageError::Corrupt {
+                what: "scheme1 index",
+                detail: format!(
+                    "capacity {capacity} does not match server capacity {}",
+                    geometry.capacity_docs
+                ),
+            }));
+        }
+        Ok(())
+    }
+
+    /// Each shard's log is internally ordered across capacity migrations,
+    /// so a replayed `ReplaceIndex` moves the geometry too.
+    fn replay(shard: &mut ShardData<Self>, geometry: &mut Geometry, record: &[u8]) -> Result<()> {
+        match protocol::decode_request(record)? {
+            Request::ApplyUpdates(entries) => merge_updates(shard, &entries),
+            Request::ReplaceIndex { capacity, entries } => {
+                replace_entries(shard, &entries);
+                *geometry = Geometry::new(capacity);
+            }
+            _ => {
+                return Err(SseError::Storage(StorageError::Corrupt {
+                    what: "scheme1 index journal",
+                    detail: "journal holds a non-mutating request".to_string(),
+                }))
+            }
+        }
+        Ok(())
+    }
+}
+
+/// XOR-merge updates into a shard (inserting fresh keywords).
+fn merge_updates(shard: &mut ShardData<Scheme1Entry>, entries: &[UpdateEntry]) {
+    for UpdateEntry { tag, delta, f_r } in entries {
+        shard.note_mutated(*tag);
+        match shard.tree.get_mut(tag) {
+            Some(entry) => {
+                // I(w)⊕G(r) ⊕ (U(w)⊕G(r)⊕G(r')) = I'(w)⊕G(r')
+                for (d, s) in entry.masked_index.iter_mut().zip(delta) {
+                    *d ^= s;
+                }
+                entry.f_r.clone_from(f_r);
+            }
+            None => {
+                // Fresh keyword: I(w) = 0, so the delta *is* I'(w)⊕G(r').
+                shard.tree.insert(
+                    *tag,
+                    Entry {
+                        masked_index: delta.clone(),
+                        f_r: f_r.clone(),
+                    },
+                );
+            }
+        }
+    }
+}
+
+/// Replace a shard's whole tree with `entries` (`ReplaceIndex`).
+fn replace_entries(shard: &mut ShardData<Scheme1Entry>, entries: &[UpdateEntry]) {
+    shard.note_cleared();
+    let mut tree = BpTree::new();
+    for UpdateEntry { tag, delta, f_r } in entries {
+        shard.note_mutated(*tag);
+        tree.insert(
+            *tag,
+            Entry {
+                masked_index: delta.clone(),
+                f_r: f_r.clone(),
+            },
+        );
+    }
+    shard.tree = tree;
 }
 
 /// Counters the experiments read out-of-band (they are *not* part of the
@@ -186,29 +195,20 @@ struct StatsCells {
     docs_stored: AtomicU64,
 }
 
-/// The Scheme 1 server.
+/// The Scheme 1 server: request handling over a [`ShardedIndex`], whose
+/// operational surface (checkpoints, health, repair, counters) it derefs
+/// to.
 pub struct Scheme1Server {
-    geometry: RwLock<Geometry>,
-    shards: Vec<ShardSlot>,
-    /// Seqlock epoch: odd while a multi-shard batch swaps its snapshots.
-    epoch: AtomicU64,
-    /// Contended shard-lock acquisitions, per shard (served via STATS).
-    contention: Vec<AtomicU64>,
-    /// Group-commit pipeline counters, shared by every shard's committer.
-    commit_stats: Arc<CommitStats>,
-    store: RwLock<Box<dyn DocBlobStore>>,
-    /// Which storage backend persists this server's state.
-    backend: BackendKind,
+    index: ShardedIndex<Scheme1Entry>,
     stats: StatsCells,
-    /// Durable home directory (None for in-memory servers).
-    dir: Option<std::path::PathBuf>,
-    /// The VFS every index file goes through (real or fault-injecting).
-    vfs: Arc<dyn Vfs>,
-    /// What the last [`Scheme1Server::open_durable`] had to repair.
-    recovery: ServerRecovery,
-    /// Per-tenant health cell: storage write failures degrade the server
-    /// to read-only until [`Scheme1Server::repair`] succeeds.
-    health: Arc<TenantHealth>,
+}
+
+impl Deref for Scheme1Server {
+    type Target = ShardedIndex<Scheme1Entry>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.index
+    }
 }
 
 impl Scheme1Server {
@@ -216,538 +216,39 @@ impl Scheme1Server {
     /// documents, with a single index shard.
     #[must_use]
     pub fn new_in_memory(capacity_docs: u64) -> Self {
-        Self::new_in_memory_sharded(capacity_docs, 1)
+        Self::over(ShardedIndex::in_memory(Geometry::new(capacity_docs), 1))
     }
 
-    /// In-memory server with `shards` independently locked index shards.
-    #[must_use]
-    pub fn new_in_memory_sharded(capacity_docs: u64, shards: usize) -> Self {
-        let n = shards.max(1);
-        let commit_stats = Arc::new(CommitStats::default());
-        Scheme1Server {
-            geometry: RwLock::new(Geometry {
-                capacity_docs,
-                index_bytes: (capacity_docs as usize).div_ceil(8),
-            }),
-            shards: (0..n)
-                .map(|_| ShardSlot {
-                    data: Mutex::new(ShardData {
-                        tree: BpTree::new(),
-                        applied_seq: 0,
-                        dirty: HashSet::new(),
-                        cleared: false,
-                        kw_map: None,
-                    }),
-                    applied: Condvar::new(),
-                    committer: GroupCommitter::new_in_memory(Arc::clone(&commit_stats)),
-                    snap: RwLock::new(Arc::new(SnapShard {
-                        tree: BpTree::new(),
-                        capacity_docs,
-                    })),
-                })
-                .collect(),
-            epoch: AtomicU64::new(0),
-            contention: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            commit_stats,
-            store: RwLock::new(Box::new(DocStore::in_memory())),
-            backend: BackendKind::Btree,
-            stats: StatsCells::default(),
-            dir: None,
-            vfs: RealVfs::arc(),
-            recovery: ServerRecovery::default(),
-            health: Arc::new(TenantHealth::new()),
-        }
-    }
-
-    /// Durable server persisting blobs under `dir`, single index shard.
-    /// Recovery brings back everything acknowledged before a crash: the
-    /// document store replays its WAL, each shard's index snapshot (if
-    /// any) is loaded, and index mutations journaled after the snapshots
-    /// are re-applied in order (incomplete cross-shard batches excluded).
+    /// Durable server persisting under `dir` with default options (see
+    /// [`Scheme1Server::open`]).
     ///
     /// # Errors
-    /// Storage errors while opening or recovering the document store, a
-    /// corrupt index snapshot, or a corrupt journal record.
+    /// As [`Scheme1Server::open`].
     pub fn open_durable(capacity_docs: u64, dir: &Path) -> Result<Self> {
-        Self::open_durable_with_vfs(RealVfs::arc(), capacity_docs, dir)
+        Self::open(capacity_docs, IndexOptions::durable(dir))
     }
 
-    /// [`Scheme1Server::open_durable`] with an index sharded `shards`
-    /// ways. The count is fixed at directory creation (recorded in the
-    /// shard manifest); reopening adopts whatever the directory holds.
+    /// Server for a database of at most `capacity_docs` documents, opened
+    /// as `opts` describe. A durable directory is recovered as
+    /// [`ShardedIndex`] documents; its snapshot or keyword-map capacity
+    /// must equal `capacity_docs`.
     ///
     /// # Errors
-    /// As [`Scheme1Server::open_durable`].
-    pub fn open_durable_sharded(capacity_docs: u64, dir: &Path, shards: usize) -> Result<Self> {
-        Self::open_durable_with_vfs_sharded(RealVfs::arc(), capacity_docs, dir, shards)
+    /// Storage errors while opening or recovering, a corrupt or
+    /// capacity-mismatched index, a corrupt journal record, or a backend
+    /// mismatch.
+    pub fn open(capacity_docs: u64, opts: IndexOptions) -> Result<Self> {
+        Ok(Self::over(ShardedIndex::open(
+            Geometry::new(capacity_docs),
+            opts,
+        )?))
     }
 
-    /// [`Scheme1Server::open_durable`] over an explicit [`Vfs`] (fault
-    /// injection runs the whole server through a
-    /// [`sse_storage::FaultVfs`]).
-    ///
-    /// # Errors
-    /// As [`Scheme1Server::open_durable`], plus injected faults.
-    pub fn open_durable_with_vfs(
-        vfs: Arc<dyn Vfs>,
-        capacity_docs: u64,
-        dir: &Path,
-    ) -> Result<Self> {
-        Self::open_durable_with_vfs_sharded(vfs, capacity_docs, dir, 1)
-    }
-
-    /// [`Scheme1Server::open_durable_sharded`] over an explicit [`Vfs`],
-    /// with group commit enabled.
-    ///
-    /// # Errors
-    /// As [`Scheme1Server::open_durable`], plus injected faults.
-    pub fn open_durable_with_vfs_sharded(
-        vfs: Arc<dyn Vfs>,
-        capacity_docs: u64,
-        dir: &Path,
-        shards: usize,
-    ) -> Result<Self> {
-        Self::open_durable_with_vfs_opts(vfs, capacity_docs, dir, shards, true)
-    }
-
-    /// [`Scheme1Server::open_durable_with_vfs_sharded`] with group commit
-    /// switchable: when `group_commit` is false every journal record is
-    /// flushed on its own (one fsync per op) — the benchmark's baseline
-    /// arm. Durability and recovery semantics are identical either way.
-    ///
-    /// # Errors
-    /// As [`Scheme1Server::open_durable`], plus injected faults.
-    pub fn open_durable_with_vfs_opts(
-        vfs: Arc<dyn Vfs>,
-        capacity_docs: u64,
-        dir: &Path,
-        shards: usize,
-        group_commit: bool,
-    ) -> Result<Self> {
-        Self::open_durable_with_backend(
-            vfs,
-            capacity_docs,
-            dir,
-            shards,
-            group_commit,
-            BackendKind::Btree,
-        )
-    }
-
-    /// [`Scheme1Server::open_durable_with_vfs_opts`] with an explicit
-    /// storage backend. The backend is fixed at directory creation
-    /// (recorded in `backend.meta`); reopening under the other backend is
-    /// a clean [`StorageError::BackendMismatch`], never silent corruption.
-    /// Directories created before backend manifests existed are `btree`.
-    ///
-    /// Under [`BackendKind::Lsm`] the document store is an
-    /// [`LsmDocStore`] and each shard's masked entries persist in an
-    /// [`LsmKeywordMap`]: checkpoints flush only the tags mutated since
-    /// the previous checkpoint as one new sorted run, instead of
-    /// rewriting the whole index snapshot. The index geometry rides in
-    /// the keyword map's `meta` blob and is validated on reopen exactly
-    /// like the btree snapshot's embedded capacity.
-    ///
-    /// # Errors
-    /// As [`Scheme1Server::open_durable`], plus backend mismatch.
-    pub fn open_durable_with_backend(
-        vfs: Arc<dyn Vfs>,
-        capacity_docs: u64,
-        dir: &Path,
-        shards: usize,
-        group_commit: bool,
-        backend: BackendKind,
-    ) -> Result<Self> {
-        let backend = resolve_backend(
-            vfs.as_ref(),
-            dir,
-            backend,
-            &[
-                MANIFEST_FILE,
-                "store.wal",
-                "store.snapshot",
-                &index_file(0),
-                &journal_file(0),
-            ],
-        )?;
-        let opts = sse_storage::store::StoreOptions::default();
-        let store: Box<dyn DocBlobStore> = match backend {
-            BackendKind::Btree => Box::new(DocStore::open_with_vfs(vfs.clone(), dir, opts)?),
-            BackendKind::Lsm => Box::new(LsmDocStore::open_with_vfs(vfs.clone(), dir, opts)?),
-        };
-        let store_recovery = store.recovery_report();
-        let n =
-            shard::resolve_shard_count(vfs.as_ref(), dir, MANIFEST_FILE, &index_file(0), shards)?;
-        let mut geometry = Geometry {
-            capacity_docs,
-            index_bytes: (capacity_docs as usize).div_ceil(8),
-        };
-        let mut trees: Vec<BpTree<[u8; 32], Entry>> = Vec::with_capacity(n);
-        let mut kw_maps: Vec<Option<LsmKeywordMap>> = Vec::with_capacity(n);
-        let mut journals: Vec<IndexJournal> = Vec::with_capacity(n);
-        let mut recoveries = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut tree = BpTree::new();
-            let mut snapshot_seq = 0u64;
-            let mut kw_map = None;
-            match backend {
-                BackendKind::Btree => {
-                    let index_path = dir.join(index_file(i));
-                    if vfs.exists(&index_path) {
-                        let bytes = vfs.read(&index_path).map_err(StorageError::Io)?;
-                        snapshot_seq = load_shard_snapshot(&mut tree, &geometry, &bytes)?;
-                    }
-                }
-                BackendKind::Lsm => {
-                    let map = LsmKeywordMap::open(vfs.clone(), dir, &kw_prefix(i))?;
-                    snapshot_seq = map.last_seq();
-                    check_kw_meta(&map.meta(), &geometry)?;
-                    for (tag, value) in map.iter_all()? {
-                        tree.insert(tag, decode_entry(&value, &geometry)?);
-                    }
-                    kw_map = Some(map);
-                }
-            }
-            let (journal, recovery) = IndexJournal::open_with_vfs(
-                vfs.clone(),
-                &dir.join(journal_file(i)),
-                true,
-                snapshot_seq,
-            )?;
-            trees.push(tree);
-            kw_maps.push(kw_map);
-            journals.push(journal);
-            recoveries.push(recovery);
-        }
-        let plan = shard::resolve_shard_recoveries(&recoveries)?;
-        let mut replayed = 0u64;
-        let mut dirty_sets: Vec<HashSet<[u8; 32]>> = vec![HashSet::new(); n];
-        let mut cleared_flags = vec![false; n];
-        for (si, (tree, apply)) in trees.iter_mut().zip(&plan.apply).enumerate() {
-            for raw in apply {
-                replay_into(
-                    tree,
-                    &mut geometry,
-                    raw,
-                    &mut dirty_sets[si],
-                    &mut cleared_flags[si],
-                )?;
-                replayed += 1;
-            }
-        }
-        let commit_stats = Arc::new(CommitStats::default());
-        let capacity_docs = geometry.capacity_docs;
-        let shards: Vec<ShardSlot> = trees
-            .into_iter()
-            .zip(journals)
-            .zip(kw_maps)
-            .zip(dirty_sets.into_iter().zip(cleared_flags))
-            .map(|(((tree, journal), kw_map), (dirty, cleared))| {
-                let applied_seq = journal.last_seq();
-                // Replayed journal records are not yet in the keyword map;
-                // keep their tags dirty so the next checkpoint flushes
-                // them. Irrelevant for btree (whole-snapshot rewrites).
-                let (dirty, cleared) = if kw_map.is_some() {
-                    (dirty, cleared)
-                } else {
-                    (HashSet::new(), false)
-                };
-                ShardSlot {
-                    snap: RwLock::new(Arc::new(SnapShard {
-                        tree: tree.clone(),
-                        capacity_docs,
-                    })),
-                    data: Mutex::new(ShardData {
-                        tree,
-                        applied_seq,
-                        dirty,
-                        cleared,
-                        kw_map,
-                    }),
-                    applied: Condvar::new(),
-                    committer: GroupCommitter::new_durable(
-                        journal,
-                        group_commit,
-                        Arc::clone(&commit_stats),
-                    ),
-                }
-            })
-            .collect();
-        Ok(Scheme1Server {
-            geometry: RwLock::new(geometry),
-            shards,
-            epoch: AtomicU64::new(0),
-            contention: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            commit_stats,
-            store: RwLock::new(store),
-            backend,
+    fn over(index: ShardedIndex<Scheme1Entry>) -> Self {
+        Scheme1Server {
+            index,
             stats: StatsCells::default(),
-            dir: Some(dir.to_path_buf()),
-            vfs,
-            recovery: ServerRecovery {
-                index_ops_replayed: replayed,
-                index_torn_bytes: recoveries.iter().map(|r| r.torn_bytes_truncated).sum(),
-                store_snapshot_loaded: store_recovery.snapshot_loaded,
-                store_wal_records_replayed: store_recovery.wal_records_replayed,
-                store_torn_bytes: store_recovery.torn_bytes_truncated,
-            },
-            health: Arc::new(TenantHealth::new()),
-        })
-    }
-
-    /// This server's health cell, shared with the serving daemon's request
-    /// router and the background scrub.
-    #[must_use]
-    pub fn health(&self) -> &Arc<TenantHealth> {
-        &self.health
-    }
-
-    /// Report a failed mutation: storage-typed failures degrade the tenant
-    /// to read-only (validation and protocol errors do not — they say
-    /// nothing about the disk), then encode the protocol error response.
-    fn mutation_failed(&self, e: &SseError) -> Vec<u8> {
-        if matches!(e, SseError::Storage(_)) {
-            self.health.note_storage_error(&e.to_string());
         }
-        protocol::encode_error(&e.to_string())
-    }
-
-    /// Attempt to repair a degraded server — the scrub's probe-write path.
-    ///
-    /// Under full quiescence (geometry write lock + all data locks, so no
-    /// mutation is staging, flushing or applying), re-persist every
-    /// shard's *applied* state — document-store checkpoint, then index
-    /// snapshots (btree) or keyword-map flushes (lsm) — and then replace
-    /// each shard's journal with a freshly opened empty one, clearing any
-    /// group-commit poison. Seqs of failed groups are reclaimed: those
-    /// records were never acknowledged and the fresh journal restarts
-    /// densely at `applied_seq + 1`. The end-to-end write pass is itself
-    /// the probe write: on success the health cell returns to Healthy.
-    ///
-    /// # Errors
-    /// Filesystem errors (the disk is still bad); the server stays
-    /// Degraded and the scrub retries later. In-memory servers have
-    /// nothing to repair and always succeed.
-    pub fn repair(&self) -> Result<()> {
-        let Some(dir) = self.dir.clone() else {
-            self.health.note_probe_ok();
-            return Ok(());
-        };
-        let geometry = self.geometry.write();
-        let mut datas = self.lock_all_data();
-        self.store.write().checkpoint()?;
-        match self.backend {
-            BackendKind::Btree => {
-                for (i, data) in datas.iter().enumerate() {
-                    self.save_shard_snapshot(data, &geometry, &dir.join(index_file(i)))?;
-                }
-                self.vfs.sync_dir(&dir).map_err(StorageError::Io)?;
-            }
-            BackendKind::Lsm => {
-                for data in datas.iter_mut() {
-                    flush_shard_kw_map(data, &geometry)?;
-                }
-            }
-        }
-        for (i, data) in datas.iter().enumerate() {
-            let path = dir.join(journal_file(i));
-            let _ = self.vfs.remove_file(&path);
-            let (journal, _) =
-                IndexJournal::open_with_vfs(self.vfs.clone(), &path, true, data.applied_seq)?;
-            self.shards[i].committer.replace_journal(journal);
-        }
-        self.health.note_probe_ok();
-        Ok(())
-    }
-
-    /// Background integrity pass over this server's on-disk artifacts.
-    ///
-    /// Checks every checksum the storage formats carry: the per-shard
-    /// index journals and the document store's WAL (CRC-framed records —
-    /// append-only and prefix-stable, so scanning a live log is safe),
-    /// the btree index snapshots (magic + body CRC; replaced atomically
-    /// via temp-file + rename, so a concurrent checkpoint can never be
-    /// seen half-written), and under the lsm backend every live run's
-    /// index and value CRCs (under the shard/store lock, since flushes
-    /// swap run files). Heap pages carry no checksums and are skipped.
-    ///
-    /// A torn WAL tail is a *repairable* finding, not corruption — it is
-    /// exactly what a crash (or a read racing an append) leaves behind.
-    /// A checksum mismatch anywhere else is confirmed corruption.
-    ///
-    /// # Errors
-    /// [`StorageError::Corrupt`] (wrapped) on confirmed corruption — the
-    /// caller quarantines; plain I/O errors are transient and do not.
-    pub fn verify_files(&self) -> Result<ScrubFindings> {
-        let mut findings = ScrubFindings::default();
-        let Some(dir) = self.dir.clone() else {
-            return Ok(findings);
-        };
-        let mut wal_paths: Vec<std::path::PathBuf> = (0..self.shards.len())
-            .map(|i| dir.join(journal_file(i)))
-            .collect();
-        wal_paths.push(dir.join(if self.backend == BackendKind::Lsm {
-            "doc.wal"
-        } else {
-            "store.wal"
-        }));
-        for path in &wal_paths {
-            match sse_storage::wal::verify_file(self.vfs.as_ref(), path)? {
-                sse_storage::wal::WalVerdict::Clean { .. } => findings.artifacts_verified += 1,
-                sse_storage::wal::WalVerdict::TornTail { .. } => {
-                    findings.artifacts_verified += 1;
-                    findings.torn_tails_seen += 1;
-                }
-                sse_storage::wal::WalVerdict::Corrupt { at } => {
-                    return Err(SseError::Storage(StorageError::Corrupt {
-                        what: "wal segment",
-                        detail: format!(
-                            "scrub: mid-log checksum mismatch at byte {at} in {}",
-                            path.display()
-                        ),
-                    }));
-                }
-            }
-        }
-        match self.backend {
-            BackendKind::Btree => {
-                for i in 0..self.shards.len() {
-                    if verify_index_snapshot(self.vfs.as_ref(), &dir.join(index_file(i)))? {
-                        findings.artifacts_verified += 1;
-                    }
-                }
-            }
-            BackendKind::Lsm => {
-                for i in 0..self.shards.len() {
-                    let data = self.lock_data(i);
-                    if let Some(map) = &data.kw_map {
-                        findings.artifacts_verified += map.verify_runs()?;
-                    }
-                }
-            }
-        }
-        findings.artifacts_verified += self.store.read().verify()?;
-        Ok(findings)
-    }
-
-    /// What the last [`Scheme1Server::open_durable`] had to repair.
-    #[must_use]
-    pub fn recovery(&self) -> ServerRecovery {
-        self.recovery
-    }
-
-    /// Number of index shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Contended shard-lock acquisitions since startup, per shard.
-    #[must_use]
-    pub fn shard_contention(&self) -> Vec<u64> {
-        self.contention
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Group-commit pipeline counters (groups, ops, fsyncs saved,
-    /// snapshot swaps) since startup.
-    #[must_use]
-    pub fn commit_counters(&self) -> CommitCounters {
-        self.commit_stats.counters()
-    }
-
-    /// The storage backend persisting this server's state.
-    #[must_use]
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    /// Per-backend storage counters (runs, compactions, bloom hit rates):
-    /// the document store's plus every shard keyword map's. All zero
-    /// under the btree backend.
-    #[must_use]
-    pub fn backend_counters(&self) -> BackendCounters {
-        let mut c = self.store.read().counters();
-        for i in 0..self.shards.len() {
-            let data = self.lock_data(i);
-            if let Some(map) = &data.kw_map {
-                c.merge(&map.counters());
-            }
-        }
-        c
-    }
-
-    /// Checkpoint everything durable, in crash-safe order: document store
-    /// snapshot, then every shard's index snapshot (each recording its
-    /// `applied_seq` as `last_op_seq`), then every journal truncation.
-    /// The geometry write lock quiesces the mutation pipeline first, so
-    /// every staged record is both durable and applied — no journal may
-    /// be reset while a group is in flight, and the snapshots-before-any-
-    /// reset order keeps cross-shard batch slices resolvable.
-    ///
-    /// # Errors
-    /// Filesystem errors. No-op index-wise for in-memory servers.
-    pub fn checkpoint(&self, dir: &Path) -> Result<()> {
-        let geometry = self.geometry.write();
-        let mut datas = self.lock_all_data();
-        self.store.write().checkpoint()?;
-        match self.backend {
-            BackendKind::Btree => {
-                for (i, data) in datas.iter().enumerate() {
-                    self.save_shard_snapshot(data, &geometry, &dir.join(index_file(i)))?;
-                }
-                // The snapshots committed via rename; one dir fsync makes
-                // all the renames durable before any journal is reset.
-                self.vfs.sync_dir(dir).map_err(StorageError::Io)?;
-            }
-            BackendKind::Lsm => {
-                for data in datas.iter_mut() {
-                    flush_shard_kw_map(data, &geometry)?;
-                }
-            }
-        }
-        for slot in &self.shards {
-            slot.committer.reset_journal()?;
-        }
-        Ok(())
-    }
-
-    /// Checkpoint into the server's own home directory; no-op for
-    /// in-memory servers.
-    ///
-    /// # Errors
-    /// Filesystem errors.
-    pub fn checkpoint_home(&self) -> Result<()> {
-        match self.dir.clone() {
-            Some(dir) => self.checkpoint(&dir),
-            None => Ok(()),
-        }
-    }
-
-    /// Number of unique keywords indexed (`u`).
-    #[must_use]
-    pub fn unique_keywords(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.lock_data(i).tree.len())
-            .sum()
-    }
-
-    /// Number of stored documents.
-    #[must_use]
-    pub fn stored_docs(&self) -> usize {
-        self.store.read().len()
-    }
-
-    /// Height of the tallest shard's tag tree (the `O(log u)` factor,
-    /// observable).
-    #[must_use]
-    pub fn tree_height(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.lock_data(i).tree.height())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Observability counters.
@@ -774,7 +275,7 @@ impl Scheme1Server {
     /// Byte size of every (masked) index array.
     #[must_use]
     pub fn index_bytes(&self) -> usize {
-        self.geometry.read().index_bytes
+        self.index.meta().index_bytes
     }
 
     /// Export the stored searchable representations
@@ -783,7 +284,7 @@ impl Scheme1Server {
     /// Used by the security harness.
     #[must_use]
     pub fn export_representations(&self) -> Vec<([u8; 32], Vec<u8>, Vec<u8>)> {
-        let guards = self.lock_all_data();
+        let guards = self.index.lock_all_data();
         let mut out: Vec<([u8; 32], Vec<u8>, Vec<u8>)> = guards
             .iter()
             .flat_map(|s| {
@@ -794,15 +295,6 @@ impl Scheme1Server {
             .collect();
         out.sort_unstable_by_key(|a| a.0);
         out
-    }
-
-    /// Export the stored encrypted documents `(id, E_km(M_i))` in id order
-    /// (the other half of the adversary's view).
-    #[must_use]
-    pub fn export_blobs(&self) -> Vec<(u64, Vec<u8>)> {
-        let store = self.store.read();
-        let ids = store.doc_ids();
-        store.get_many(&ids)
     }
 
     /// Serve one request without exclusive access — the entry point the
@@ -821,19 +313,20 @@ impl Scheme1Server {
     pub fn handle_shared_with(&self, request: &[u8], scratch: Vec<u8>) -> Vec<u8> {
         match protocol::decode_request(request) {
             Ok(Request::SearchReveal { tag, seed }) => match self.reveal_one(&tag, &seed) {
-                Ok(docs) => protocol::encode_result_with(&docs, scratch),
-                Err(msg) => protocol::encode_error(&msg),
+                Ok(docs) => proto_common::encode_result_with(&docs, scratch),
+                Err(msg) => proto_common::encode_error(&msg),
             },
             Ok(req) => self.handle_request(req),
-            Err(e) => protocol::encode_error(&e.to_string()),
+            Err(e) => proto_common::encode_error(&e.to_string()),
         }
     }
 
     /// Apply an `UPDATE_MANY` batch: every part must be a mutation
     /// (`PutDocs` or `ApplyUpdates`). All parts are decoded and validated
-    /// first, then journaled as one cross-shard batch and applied
-    /// all-or-nothing with respect to racing searches (all touched
-    /// shards' snapshots swap inside one epoch window).
+    /// first, then the documents are stored and the updates journaled as
+    /// one cross-shard batch, applied all-or-nothing with respect to
+    /// racing searches (all touched shards' snapshots swap inside one
+    /// epoch window).
     pub fn apply_batch(&self, parts: &[&[u8]]) -> Vec<u8> {
         let mut docs: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut entries: Vec<UpdateEntry> = Vec::new();
@@ -842,400 +335,159 @@ impl Scheme1Server {
                 Ok(Request::PutDocs(d)) => docs.extend(d),
                 Ok(Request::ApplyUpdates(e)) => entries.extend(e),
                 Ok(_) => {
-                    return protocol::encode_error(
+                    return proto_common::encode_error(
                         "batch parts must be mutations (PutDocs / ApplyUpdates)",
                     )
                 }
-                Err(e) => return protocol::encode_error(&e.to_string()),
+                Err(e) => return proto_common::encode_error(&e.to_string()),
             }
         }
+        let geometry = self.index.meta();
+        if let Err(msg) =
+            check_doc_ids(&geometry, &docs).and_then(|()| check_widths(&geometry, &entries))
         {
-            let geometry = self.geometry.read();
-            if let Some(resp) = self.put_docs_checked(&geometry, &docs) {
-                return resp;
-            }
+            return proto_common::encode_error(&msg);
         }
-        self.apply_updates_sharded(entries)
+        if let Err(resp) = self.put_docs(&docs) {
+            return resp;
+        }
+        self.apply_updates(&geometry, entries)
     }
 
-    /// Acquire shard `i`'s data lock, counting a contended acquisition
-    /// when the lock was not immediately free.
-    fn lock_data(&self, i: usize) -> MutexGuard<'_, ShardData> {
-        match self.shards[i].data.try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.contention[i].fetch_add(1, Ordering::Relaxed);
-                self.shards[i].data.lock()
-            }
-        }
-    }
-
-    /// Lock every shard's data in ascending order (checkpoint / export).
-    fn lock_all_data(&self) -> Vec<MutexGuard<'_, ShardData>> {
-        (0..self.shards.len()).map(|i| self.lock_data(i)).collect()
-    }
-
-    /// Fetch shard `i`'s search snapshot, retrying around multi-shard
-    /// swap windows (odd epoch) so a reader never observes a half-swapped
-    /// batch across shards.
-    fn snap(&self, i: usize) -> Arc<SnapShard> {
-        loop {
-            let before = self.epoch.load(Ordering::Acquire);
-            if before & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let snap = Arc::clone(&self.shards[i].snap.read());
-            if self.epoch.load(Ordering::Acquire) == before {
-                return snap;
-            }
-        }
-    }
-
-    /// Publish shard `i`'s current tree as the immutable search snapshot.
-    /// O(1): the tree clone shares all nodes copy-on-write.
-    fn publish(&self, i: usize, data: &ShardData, capacity_docs: u64) {
-        *self.shards[i].snap.write() = Arc::new(SnapShard {
-            tree: data.tree.clone(),
-            capacity_docs,
-        });
-        self.commit_stats.note_swap();
-    }
-
-    /// Wait until shard `i` has applied every predecessor of `seq`, then
-    /// run `apply`, advance `applied_seq`, publish the snapshot and wake
-    /// successors. The caller must have made `seq` durable first.
-    fn apply_at(&self, i: usize, seq: u64, capacity_docs: u64, apply: impl FnOnce(&mut ShardData)) {
-        let slot = &self.shards[i];
-        let mut data = self.lock_data(i);
-        while data.applied_seq + 1 != seq {
-            data = slot
-                .applied
-                .wait(data)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        apply(&mut data);
-        data.applied_seq = seq;
-        self.publish(i, &data, capacity_docs);
-        drop(data);
-        slot.applied.notify_all();
-    }
-
-    /// Run one mutation through the full pipeline: stage its journal
-    /// record(s) (one per affected shard, batch slices when several),
-    /// wait for the group fsync(s), then apply in seq order and publish
-    /// new snapshots. `idxs` must be ascending and non-empty.
-    ///
-    /// On partial durability (some shard's journal failed) nothing is
-    /// applied anywhere: durable shards advance `applied_seq` without
-    /// mutating (recovery's sibling-completeness check discards their
-    /// on-disk slices too), failed shards are poisoned, and the client
-    /// gets an error — the mutation is never acknowledged.
-    fn commit_mutation(
-        &self,
-        idxs: &[usize],
-        encode_for: impl Fn(usize) -> Vec<u8>,
-        mut apply_for: impl FnMut(usize, &mut ShardData),
-        capacity_docs: u64,
-    ) -> Result<()> {
-        debug_assert!(idxs.windows(2).all(|w| w[0] < w[1]));
-        if idxs.len() == 1 {
-            let i = idxs[0];
-            let seq = self.shards[i].committer.stage(&encode_for(i))?;
-            self.shards[i].committer.wait_durable(seq)?;
-            self.apply_at(i, seq, capacity_docs, |data| apply_for(i, data));
-            return Ok(());
-        }
-
-        // Phase S — stage every slice atomically under all stage locks
-        // (ascending), so the batch id (coordinator shard, coordinator
-        // seq) is consistent and no foreign record interleaves.
-        let shard_set: Vec<u32> = idxs.iter().map(|&i| i as u32).collect();
-        let mut guards: Vec<_> = idxs
-            .iter()
-            .map(|&i| self.shards[i].committer.lock())
-            .collect();
-        if guards.iter().any(crate::commit::StageGuard::poisoned) {
-            return Err(journal_unavailable());
-        }
-        let batch = BatchId {
-            coordinator: shard_set[0],
-            seq: guards[0].next_seq(),
-        };
-        let mut seqs = Vec::with_capacity(idxs.len());
-        for (guard, &i) in guards.iter_mut().zip(idxs) {
-            // Cannot fail: staging only errors on poison, checked above
-            // while continuously holding every stage lock.
-            seqs.push(guard.stage(&shard::encode_slice(batch, &shard_set, &encode_for(i)))?);
-        }
-        drop(guards);
-
-        // Phase D — wait for every shard's group fsync.
-        let mut durable = vec![false; idxs.len()];
-        let mut first_err = None;
-        for (k, &i) in idxs.iter().enumerate() {
-            match self.shards[i].committer.wait_durable(seqs[k]) {
-                Ok(()) => durable[k] = true,
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        let apply = first_err.is_none();
-
-        // Phase R — wait (one shard at a time, holding nothing else)
-        // until each durable shard has applied all our predecessors.
-        // Stable once reached: our seq is the only possible successor.
-        for (k, &i) in idxs.iter().enumerate() {
-            if !durable[k] {
-                continue;
-            }
-            let slot = &self.shards[i];
-            let mut data = self.lock_data(i);
-            while data.applied_seq + 1 != seqs[k] {
-                data = slot
-                    .applied
-                    .wait(data)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-
-        // Phase A — lock all durable shards (ascending) and swap them
-        // atomically inside an odd-epoch window so snapshot readers see
-        // the batch all-or-nothing.
-        if apply {
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-        let mut held: Vec<(usize, MutexGuard<'_, ShardData>)> = Vec::with_capacity(idxs.len());
-        for (k, &i) in idxs.iter().enumerate() {
-            if durable[k] {
-                held.push((k, self.lock_data(i)));
-            }
-        }
-        for (k, data) in &mut held {
-            debug_assert_eq!(data.applied_seq + 1, seqs[*k], "readiness must be stable");
-            if apply {
-                apply_for(idxs[*k], data);
-            }
-            data.applied_seq = seqs[*k];
-        }
-        if apply {
-            for (k, data) in &held {
-                self.publish(idxs[*k], data, capacity_docs);
-            }
-        }
-        drop(held);
-        if apply {
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-        for (k, &i) in idxs.iter().enumerate() {
-            if durable[k] {
-                self.shards[i].applied.notify_all();
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Store `docs`, enforcing the capacity bound. Returns an error
-    /// response on failure, `None` on success.
-    fn put_docs_checked(&self, geometry: &Geometry, docs: &[(u64, Vec<u8>)]) -> Option<Vec<u8>> {
-        if docs.is_empty() {
-            return None;
-        }
-        for (id, _) in docs {
-            if *id >= geometry.capacity_docs {
-                return Some(protocol::encode_error(&format!(
-                    "doc id {id} exceeds capacity {}",
-                    geometry.capacity_docs
-                )));
-            }
-        }
-        let mut store = self.store.write();
-        for (id, blob) in docs {
-            if let Err(e) = store.put(*id, blob) {
-                drop(store);
-                return Some(self.mutation_failed(&SseError::Storage(e)));
-            }
-            self.stats.docs_stored.fetch_add(1, Ordering::Relaxed);
-        }
-        None
+    /// Store validated documents, counting them.
+    fn put_docs(&self, docs: &[(u64, Vec<u8>)]) -> StdResult<(), Vec<u8>> {
+        self.index.put_docs(docs)?;
+        self.stats
+            .docs_stored
+            .fetch_add(docs.len() as u64, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Apply validated update entries: group per shard (preserving input
     /// order within each shard), then run the group-commit pipeline. The
-    /// geometry read lock is held across the whole pipeline so geometry
+    /// caller's geometry read guard spans the whole pipeline, so geometry
     /// writers (`ReplaceIndex`, checkpoint) always see it quiesced.
-    fn apply_updates_sharded(&self, entries: Vec<UpdateEntry>) -> Vec<u8> {
-        let geometry = self.geometry.read();
-        for entry in &entries {
-            if entry.delta.len() != geometry.index_bytes {
-                return protocol::encode_error(&format!(
-                    "delta length {} != index width {}",
-                    entry.delta.len(),
-                    geometry.index_bytes
-                ));
-            }
-        }
+    fn apply_updates(&self, geometry: &Geometry, entries: Vec<UpdateEntry>) -> Vec<u8> {
         if entries.is_empty() {
-            return protocol::encode_ack();
+            return proto_common::encode_ack();
         }
-        let n = self.shards.len();
-        let mut groups: BTreeMap<usize, Vec<UpdateEntry>> = BTreeMap::new();
-        for entry in entries {
-            groups
-                .entry(shard_of(&entry.tag, n))
-                .or_default()
-                .push(entry);
-        }
+        let groups = self.index.group_by_shard(entries, |e| &e.tag);
         let idxs: Vec<usize> = groups.keys().copied().collect();
-        let result = self.commit_mutation(
+        let result = self.index.commit_mutation(
             &idxs,
             |i| protocol::encode_apply_updates(&groups[&i]),
-            |i, data| {
-                for UpdateEntry { tag, delta, f_r } in &groups[&i] {
-                    data.note_mutated(*tag);
-                    apply_entry(&mut data.tree, *tag, delta.clone(), f_r.clone());
-                    self.stats.updates_applied.fetch_add(1, Ordering::Relaxed);
-                }
+            |i, shard| {
+                merge_updates(shard, &groups[&i]);
+                self.stats
+                    .updates_applied
+                    .fetch_add(groups[&i].len() as u64, Ordering::Relaxed);
             },
-            geometry.capacity_docs,
+            geometry,
         );
-        match result {
-            Ok(()) => protocol::encode_ack(),
-            Err(e) => self.mutation_failed(&e),
-        }
+        self.index.respond(result)
     }
 
     fn handle_replace_index(&self, capacity: u64, entries: Vec<UpdateEntry>) -> Vec<u8> {
-        let new_width = (capacity as usize).div_ceil(8);
-        if let Some(bad) = entries.iter().find(|e| e.delta.len() != new_width) {
-            return protocol::encode_error(&format!(
-                "entry width {} != new index width {new_width}",
-                bad.delta.len()
+        let new = Geometry::new(capacity);
+        if let Some(bad) = entries.iter().find(|e| e.delta.len() != new.index_bytes) {
+            return proto_common::encode_error(&format!(
+                "entry width {} != new index width {}",
+                bad.delta.len(),
+                new.index_bytes
             ));
         }
         // Migration must not lose keywords: the replacement set must cover
         // every currently stored tag. The geometry write lock quiesces
         // every mutation pipeline, so the data trees are stable while we
         // validate and replace.
-        let mut geometry = self.geometry.write();
+        let mut geometry = self.index.meta_mut();
         let new_tags: std::collections::HashSet<[u8; 32]> = entries.iter().map(|e| e.tag).collect();
-        for i in 0..self.shards.len() {
-            let data = self.lock_data(i);
-            for (tag, _) in data.tree.iter() {
-                if !new_tags.contains(tag) {
-                    return protocol::encode_error(
-                        "replacement index is missing a stored keyword tag",
-                    );
-                }
+        for shard in self.index.lock_all_data() {
+            if shard.tree.iter().any(|(tag, _)| !new_tags.contains(tag)) {
+                return proto_common::encode_error(
+                    "replacement index is missing a stored keyword tag",
+                );
             }
-        }
-        let n = self.shards.len();
-        let mut groups: Vec<Vec<UpdateEntry>> = (0..n).map(|_| Vec::new()).collect();
-        for entry in entries {
-            groups[shard_of(&entry.tag, n)].push(entry);
         }
         // ReplaceIndex rewrites every shard (a shard with no entries must
         // still clear), so the batch spans all N shards.
+        let n = self.index.num_shards();
+        let mut groups: Vec<Vec<UpdateEntry>> = (0..n).map(|_| Vec::new()).collect();
+        for entry in entries {
+            groups[self.index.shard_for(&entry.tag)].push(entry);
+        }
         let idxs: Vec<usize> = (0..n).collect();
-        let result = self.commit_mutation(
+        let result = self.index.commit_mutation(
             &idxs,
             |i| protocol::encode_replace_index(capacity, &groups[i]),
-            |i, data| {
-                data.note_cleared();
-                let mut tree = BpTree::new();
-                for UpdateEntry { tag, delta, f_r } in &groups[i] {
-                    data.note_mutated(*tag);
-                    tree.insert(
-                        *tag,
-                        Entry {
-                            masked_index: delta.clone(),
-                            f_r: f_r.clone(),
-                        },
-                    );
-                }
-                data.tree = tree;
-            },
-            capacity,
+            |i, shard| replace_entries(shard, &groups[i]),
+            &new,
         );
-        match result {
-            Ok(()) => {
-                geometry.capacity_docs = capacity;
-                geometry.index_bytes = new_width;
-                protocol::encode_ack()
-            }
-            Err(e) => self.mutation_failed(&e),
+        if result.is_ok() {
+            *geometry = new;
         }
+        self.index.respond(result)
     }
 
     fn handle_request(&self, req: Request) -> Vec<u8> {
         match req {
             Request::PutDocs(docs) => {
-                let geometry = self.geometry.read();
-                match self.put_docs_checked(&geometry, &docs) {
-                    Some(err) => err,
-                    None => protocol::encode_ack(),
+                if let Err(msg) = check_doc_ids(&self.index.meta(), &docs) {
+                    return proto_common::encode_error(&msg);
+                }
+                match self.put_docs(&docs) {
+                    Ok(()) => proto_common::encode_ack(),
+                    Err(resp) => resp,
                 }
             }
             Request::GetNonces(tags) => {
-                let n = self.shards.len();
                 let items: Vec<Option<Vec<u8>>> = tags
                     .iter()
-                    .map(|tag| {
-                        let snap = self.snap(shard_of(tag, n));
-                        let (entry, s) = snap.tree.get_with_stats(tag);
-                        self.stats.tree_lookups.fetch_add(1, Ordering::Relaxed);
-                        self.stats
-                            .tree_nodes_visited
-                            .fetch_add(s.nodes_visited as u64, Ordering::Relaxed);
-                        entry.map(|e| e.f_r.clone())
-                    })
+                    .map(|tag| self.lookup(tag, |e| e.map(|e| e.f_r.clone())))
                     .collect();
                 protocol::encode_nonces(&items)
             }
-            Request::ApplyUpdates(entries) => self.apply_updates_sharded(entries),
-            Request::SearchFind(tag) => {
-                let snap = self.snap(shard_of(&tag, self.shards.len()));
-                let (entry, s) = snap.tree.get_with_stats(&tag);
-                self.stats.tree_lookups.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .tree_nodes_visited
-                    .fetch_add(s.nodes_visited as u64, Ordering::Relaxed);
-                protocol::encode_found(entry.map(|e| e.f_r.as_slice()))
+            Request::ApplyUpdates(entries) => {
+                let geometry = self.index.meta();
+                if let Err(msg) = check_widths(&geometry, &entries) {
+                    return proto_common::encode_error(&msg);
+                }
+                self.apply_updates(&geometry, entries)
             }
+            Request::SearchFind(tag) => self.lookup(&tag, |e| {
+                protocol::encode_found(e.map(|e| e.f_r.as_slice()))
+            }),
             Request::SearchReveal { tag, seed } => match self.reveal_one(&tag, &seed) {
-                Ok(docs) => protocol::encode_result(&docs),
-                Err(msg) => protocol::encode_error(&msg),
+                Ok(docs) => proto_common::encode_result(&docs),
+                Err(msg) => proto_common::encode_error(&msg),
             },
             Request::SearchRevealMany(items) => {
                 let mut results: Vec<Vec<(u64, Vec<u8>)>> = Vec::with_capacity(items.len());
                 for (tag, seed) in &items {
                     match self.reveal_one(tag, seed) {
                         Ok(docs) => results.push(docs),
-                        Err(msg) => return protocol::encode_error(&msg),
+                        Err(msg) => return proto_common::encode_error(&msg),
                     }
                 }
-                crate::proto_common::encode_result_many(&results)
+                proto_common::encode_result_many(&results)
             }
-            Request::Checkpoint => {
-                let Some(dir) = self.dir.clone() else {
-                    return protocol::encode_error("checkpoint requested on an in-memory server");
-                };
-                match self.checkpoint(&dir) {
-                    Ok(()) => protocol::encode_ack(),
-                    Err(e) => self.mutation_failed(&e),
-                }
-            }
+            Request::Checkpoint => self.index.checkpoint_request(),
             Request::ExportIndex => protocol::encode_index_dump(&self.export_representations()),
             Request::ReplaceIndex { capacity, entries } => {
                 self.handle_replace_index(capacity, entries)
             }
         }
+    }
+
+    /// Resolve one tag on its shard's snapshot, counting the lookup.
+    fn lookup<R>(&self, tag: &[u8; 32], read: impl FnOnce(Option<&Entry>) -> R) -> R {
+        let snap = self.index.snap(self.index.shard_for(tag));
+        let (entry, s) = snap.tree.get_with_stats(tag);
+        self.stats.tree_lookups.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .tree_nodes_visited
+            .fetch_add(s.nodes_visited as u64, Ordering::Relaxed);
+        read(entry)
     }
 
     /// Unmask one posting array with the revealed seed and fetch matches.
@@ -1252,310 +504,59 @@ impl Scheme1Server {
         tag: &[u8; 32],
         seed: &[u8; 32],
     ) -> StdResult<Vec<(u64, Vec<u8>)>, String> {
-        let snap = self.snap(shard_of(tag, self.shards.len()));
+        let snap = self.index.snap(self.index.shard_for(tag));
         self.stats.searches.fetch_add(1, Ordering::Relaxed);
         let Some(entry) = snap.tree.get(tag) else {
             return Ok(Vec::new());
         };
         // Unmask: (I(w) ⊕ G(r)) ⊕ G(r) = I(w).
         let plain = Prg::mask(seed, &entry.masked_index);
-        let want = (snap.capacity_docs as usize).div_ceil(8);
-        if plain.len() != want {
+        let capacity = snap.meta.capacity_docs;
+        if plain.len() != snap.meta.index_bytes {
             return Err(format!(
-                "index entry width {} does not match capacity {} ({} bytes expected)",
+                "index entry width {} does not match capacity {capacity} ({} bytes expected)",
                 plain.len(),
-                snap.capacity_docs,
-                want
+                snap.meta.index_bytes
             ));
         }
-        let ids = DocBitSet::from_bytes(snap.capacity_docs as usize, &plain).to_ids();
-        Ok(self.store.read().get_many(&ids))
-    }
-
-    /// Persist one shard's index snapshot (CRC-protected; carries the
-    /// shard's `applied_seq` as `last_op_seq`). The index contains only
-    /// what the server already sees — masked arrays, tags and `F(r)`
-    /// ciphertexts — so persisting it leaks nothing new.
-    fn save_shard_snapshot(
-        &self,
-        data: &ShardData,
-        geometry: &Geometry,
-        path: &Path,
-    ) -> Result<()> {
-        let mut body = WireWriter::new();
-        body.put_u64(data.applied_seq);
-        body.put_u64(geometry.capacity_docs);
-        body.put_u64(data.tree.len() as u64);
-        for (tag, entry) in data.tree.iter() {
-            body.put_array(tag);
-            body.put_bytes(&entry.masked_index);
-            body.put_bytes(&entry.f_r);
-        }
-        let body = body.finish();
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = self.vfs.create(&tmp).map_err(StorageError::Io)?;
-            let mut header = Vec::with_capacity(12);
-            header.extend_from_slice(INDEX_MAGIC);
-            header.extend_from_slice(&crc32(&body).to_le_bytes());
-            f.write_all(&header).map_err(StorageError::Io)?;
-            f.write_all(&body).map_err(StorageError::Io)?;
-            f.sync_data().map_err(StorageError::Io)?;
-        }
-        self.vfs.rename(&tmp, path).map_err(StorageError::Io)?;
-        Ok(())
+        let ids = DocBitSet::from_bytes(capacity as usize, &plain).to_ids();
+        Ok(self.index.get_docs(&ids))
     }
 
     /// One shard's stored entry, exposed for in-crate tests.
     #[cfg(test)]
     fn entry_for(&self, tag: &[u8; 32]) -> Option<(Vec<u8>, Vec<u8>)> {
-        let data = self.lock_data(shard_of(tag, self.shards.len()));
+        let data = self.index.lock_data(self.index.shard_for(tag));
         data.tree
             .get(tag)
             .map(|e| (e.masked_index.clone(), e.f_r.clone()))
     }
 }
 
-/// The error surfaced when a mutation reaches a shard whose journal was
-/// disabled by an earlier failed group commit.
-fn journal_unavailable() -> SseError {
-    SseError::Storage(StorageError::Io(std::io::Error::other(
-        "shard journal disabled by failed group commit",
-    )))
-}
-
-/// XOR-merge an update into the tree (or insert a fresh keyword).
-fn apply_entry(tree: &mut BpTree<[u8; 32], Entry>, tag: [u8; 32], delta: Vec<u8>, f_r: Vec<u8>) {
-    match tree.get_mut(&tag) {
-        Some(entry) => {
-            // I(w)⊕G(r) ⊕ (U(w)⊕G(r)⊕G(r')) = I'(w)⊕G(r')
-            for (d, s) in entry.masked_index.iter_mut().zip(delta.iter()) {
-                *d ^= s;
-            }
-            entry.f_r = f_r;
-        }
-        None => {
-            // Fresh keyword: I(w) = 0, so the delta *is* I'(w)⊕G(r').
-            tree.insert(
-                tag,
-                Entry {
-                    masked_index: delta,
-                    f_r,
-                },
-            );
-        }
+/// Every document id must fit the capacity.
+fn check_doc_ids(geometry: &Geometry, docs: &[(u64, Vec<u8>)]) -> StdResult<(), String> {
+    match docs.iter().find(|(id, _)| *id >= geometry.capacity_docs) {
+        Some((id, _)) => Err(format!(
+            "doc id {id} exceeds capacity {}",
+            geometry.capacity_docs
+        )),
+        None => Ok(()),
     }
 }
 
-/// Re-apply one journaled shard-local mutation during recovery (no
-/// re-journaling, no width validation — the record was validated before it
-/// was ever journaled, and each shard's log is internally ordered across
-/// capacity migrations). Touched tags are recorded into `dirty` /
-/// `cleared` so an lsm-backed server can flush the replayed state at its
-/// next checkpoint.
-fn replay_into(
-    tree: &mut BpTree<[u8; 32], Entry>,
-    geometry: &mut Geometry,
-    raw: &[u8],
-    dirty: &mut HashSet<[u8; 32]>,
-    cleared: &mut bool,
-) -> Result<()> {
-    match protocol::decode_request(raw)? {
-        Request::ApplyUpdates(entries) => {
-            for UpdateEntry { tag, delta, f_r } in entries {
-                dirty.insert(tag);
-                apply_entry(tree, tag, delta, f_r);
-            }
-            Ok(())
-        }
-        Request::ReplaceIndex { capacity, entries } => {
-            dirty.clear();
-            *cleared = true;
-            let mut fresh = BpTree::new();
-            for UpdateEntry { tag, delta, f_r } in entries {
-                dirty.insert(tag);
-                fresh.insert(
-                    tag,
-                    Entry {
-                        masked_index: delta,
-                        f_r,
-                    },
-                );
-            }
-            *tree = fresh;
-            geometry.capacity_docs = capacity;
-            geometry.index_bytes = (capacity as usize).div_ceil(8);
-            Ok(())
-        }
-        _ => Err(SseError::Storage(StorageError::Corrupt {
-            what: "scheme1 index journal",
-            detail: "journal holds a non-mutating request".to_string(),
-        })),
+/// Every update delta must be exactly the index width.
+fn check_widths(geometry: &Geometry, entries: &[UpdateEntry]) -> StdResult<(), String> {
+    match entries
+        .iter()
+        .find(|e| e.delta.len() != geometry.index_bytes)
+    {
+        Some(e) => Err(format!(
+            "delta length {} != index width {}",
+            e.delta.len(),
+            geometry.index_bytes
+        )),
+        None => Ok(()),
     }
-}
-
-/// Flush one lsm-backed shard: clear if the index was replaced, write
-/// every dirty tag's current entry (or a tombstone if it vanished), then
-/// commit one run carrying `applied_seq` and the geometry capacity as the
-/// map's `meta` blob. No-op for btree shards.
-fn flush_shard_kw_map(data: &mut ShardData, geometry: &Geometry) -> Result<()> {
-    let ShardData {
-        tree,
-        applied_seq,
-        dirty,
-        cleared,
-        kw_map,
-    } = data;
-    let Some(map) = kw_map else { return Ok(()) };
-    if *cleared {
-        map.clear()?;
-    }
-    for tag in dirty.iter() {
-        match tree.get(tag) {
-            Some(entry) => map.put(*tag, encode_entry(entry))?,
-            None => map.delete(tag)?,
-        }
-    }
-    map.flush(*applied_seq, &geometry.capacity_docs.to_le_bytes())?;
-    dirty.clear();
-    *cleared = false;
-    Ok(())
-}
-
-/// Validate the keyword map's `meta` blob (the persisted geometry)
-/// against the server's capacity — same contract as the btree snapshot's
-/// embedded capacity field. An empty blob means the map was never
-/// flushed.
-fn check_kw_meta(meta: &[u8], geometry: &Geometry) -> Result<()> {
-    if meta.is_empty() {
-        return Ok(());
-    }
-    let capacity = u64::from_le_bytes(meta.try_into().map_err(|_| {
-        SseError::Storage(StorageError::Corrupt {
-            what: "scheme1 keyword map",
-            detail: format!("geometry meta is {} bytes, expected 8", meta.len()),
-        })
-    })?);
-    if capacity != geometry.capacity_docs {
-        return Err(SseError::Storage(StorageError::Corrupt {
-            what: "scheme1 keyword map",
-            detail: format!(
-                "capacity {capacity} does not match server capacity {}",
-                geometry.capacity_docs
-            ),
-        }));
-    }
-    Ok(())
-}
-
-/// Serialize one stored entry as a keyword-map value: the per-tag body of
-/// the monolithic snapshot format, minus the tag itself.
-fn encode_entry(entry: &Entry) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_bytes(&entry.masked_index);
-    w.put_bytes(&entry.f_r);
-    w.finish()
-}
-
-/// Inverse of [`encode_entry`], validating the masked-array width against
-/// the geometry like [`load_shard_snapshot`] does.
-fn decode_entry(bytes: &[u8], geometry: &Geometry) -> Result<Entry> {
-    let mut r = WireReader::new(bytes);
-    let masked_index = r.get_bytes()?.to_vec();
-    if masked_index.len() != geometry.index_bytes {
-        return Err(SseError::Storage(StorageError::Corrupt {
-            what: "scheme1 keyword map",
-            detail: format!(
-                "entry width {} != expected {}",
-                masked_index.len(),
-                geometry.index_bytes
-            ),
-        }));
-    }
-    let f_r = r.get_bytes()?.to_vec();
-    r.finish()?;
-    Ok(Entry { masked_index, f_r })
-}
-
-/// Scrub check of one shard snapshot file: magic + body CRC, without
-/// decoding the body. `Ok(false)` when the file does not exist (no
-/// checkpoint has happened yet — nothing to verify).
-fn verify_index_snapshot(vfs: &dyn Vfs, path: &Path) -> Result<bool> {
-    let bytes = match vfs.read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(SseError::Storage(StorageError::Io(e))),
-    };
-    if bytes.len() < 12 || &bytes[..8] != INDEX_MAGIC {
-        return Err(SseError::Storage(StorageError::Corrupt {
-            what: "index snapshot",
-            detail: format!("scrub: bad magic or truncated in {}", path.display()),
-        }));
-    }
-    let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if crc32(&bytes[12..]) != stored_crc {
-        return Err(SseError::Storage(StorageError::Corrupt {
-            what: "index snapshot",
-            detail: format!("scrub: checksum mismatch in {}", path.display()),
-        }));
-    }
-    Ok(true)
-}
-
-/// Decode one shard snapshot into `tree`, returning the `last_op_seq` it
-/// covers.
-fn load_shard_snapshot(
-    tree: &mut BpTree<[u8; 32], Entry>,
-    geometry: &Geometry,
-    bytes: &[u8],
-) -> Result<u64> {
-    if bytes.len() < 12 || &bytes[..8] != INDEX_MAGIC {
-        return Err(SseError::Storage(StorageError::Corrupt {
-            what: "scheme1 index snapshot",
-            detail: "bad magic or truncated".to_string(),
-        }));
-    }
-    let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let body = &bytes[12..];
-    if crc32(body) != stored_crc {
-        return Err(SseError::Storage(StorageError::Corrupt {
-            what: "scheme1 index snapshot",
-            detail: "checksum mismatch".to_string(),
-        }));
-    }
-    let mut r = WireReader::new(body);
-    let last_op_seq = r.get_u64()?;
-    let capacity = r.get_u64()?;
-    if capacity != geometry.capacity_docs {
-        return Err(SseError::Storage(StorageError::Corrupt {
-            what: "scheme1 index snapshot",
-            detail: format!(
-                "capacity {capacity} does not match server capacity {}",
-                geometry.capacity_docs
-            ),
-        }));
-    }
-    let n = r.get_count(48)?;
-    let mut fresh = BpTree::new();
-    for _ in 0..n {
-        let tag = r.get_array32()?;
-        let masked_index = r.get_bytes()?.to_vec();
-        if masked_index.len() != geometry.index_bytes {
-            return Err(SseError::Storage(StorageError::Corrupt {
-                what: "scheme1 index snapshot",
-                detail: format!(
-                    "entry width {} != expected {}",
-                    masked_index.len(),
-                    geometry.index_bytes
-                ),
-            }));
-        }
-        let f_r = r.get_bytes()?.to_vec();
-        fresh.insert(tag, Entry { masked_index, f_r });
-    }
-    r.finish()?;
-    *tree = fresh;
-    Ok(last_op_seq)
 }
 
 impl Service for Scheme1Server {
@@ -1575,9 +576,10 @@ impl Service for Scheme1Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto_common::{decode_ack, decode_result};
     use crate::scheme1::protocol::{
-        decode_ack, decode_found, decode_nonces, decode_result, encode_apply_updates,
-        encode_get_nonces, encode_put_docs, encode_search_find, encode_search_reveal,
+        decode_found, decode_nonces, encode_apply_updates, encode_get_nonces, encode_put_docs,
+        encode_search_find, encode_search_reveal,
     };
 
     fn server() -> Scheme1Server {
@@ -1698,17 +700,16 @@ mod tests {
         // Plant an entry whose array width disagrees with the capacity,
         // bypassing the update path's width validation (models a corrupted
         // or adversarially imported index, not reachable via ApplyUpdates).
-        {
-            let mut data = s.shards[0].data.lock();
-            data.tree.insert(
+        s.index.try_edit(0, |tree| {
+            tree.insert(
                 tag,
                 Entry {
                     masked_index: vec![0u8; 3], // capacity 64 needs 8 bytes
                     f_r: vec![],
                 },
             );
-            s.publish(0, &data, 64);
-        }
+            true
+        });
         let resp = s.handle(&encode_search_reveal(&tag, &[0u8; 32]));
         assert!(
             decode_result(&resp).is_err(),
@@ -1744,7 +745,14 @@ mod tests {
         // The same update/search conversation against 1 and 5 shards must
         // be indistinguishable on the wire.
         let mut single = Scheme1Server::new_in_memory(64);
-        let mut sharded = Scheme1Server::new_in_memory_sharded(64, 5);
+        let mut sharded = Scheme1Server::open(
+            64,
+            IndexOptions {
+                shards: 5,
+                ..IndexOptions::default()
+            },
+        )
+        .unwrap();
         assert_eq!(sharded.num_shards(), 5);
         let docs: Vec<(u64, Vec<u8>)> = (0..10u64).map(|i| (i, vec![i as u8; 4])).collect();
         let seed = [0x21u8; 32];
@@ -1811,7 +819,14 @@ mod tests {
     fn searches_see_acked_updates_through_snapshots() {
         // Read-your-writes through the snapshot path: an acked update is
         // immediately visible to GetNonces / SearchFind / reveal.
-        let s = Scheme1Server::new_in_memory_sharded(64, 4);
+        let s = Scheme1Server::open(
+            64,
+            IndexOptions {
+                shards: 4,
+                ..IndexOptions::default()
+            },
+        )
+        .unwrap();
         let seed = [0x37u8; 32];
         for i in 0..32u8 {
             let mut tag = [0u8; 32];

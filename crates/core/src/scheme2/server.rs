@@ -9,88 +9,113 @@
 //! measurable `l/2x`-style cost of Table 1 — exposed in
 //! [`Scheme2ServerStats::chain_steps`].
 //!
-//! ## Sharding, group commit and snapshot reads
-//!
-//! Like Scheme 1, the tag tree is partitioned into N shards by
-//! [`crate::shard::shard_of`] (see DESIGN.md §4d/§4e — the shard id is a
-//! public function of the already-revealed tag, so leakage is unchanged).
-//! Each shard is a group-commit pipeline:
-//!
-//! * **Appends** stage their journal record into the shard's
-//!   [`GroupCommitter`] (one vectored write + one fsync per *group* of
-//!   concurrent mutations), apply to the live tree in seq order after the
-//!   group fsync, then publish an immutable copy-on-write snapshot.
-//! * **Searches** resolve the tag — and walk the whole chain — against
-//!   the shard's snapshot, never taking the shard mutex and never waiting
-//!   on an fsync. The Optimization-1 cache is written back opportunistically
-//!   afterwards: a `try_lock` on the live shard that is simply skipped if
-//!   the shard is busy or has changed since the snapshot (the next search
-//!   rebuilds the cache — it is an optimization, not state).
-//!
-//! Mutations touching several shards (`ResetIndex`, batched appends) stage
-//! [`crate::shard`] batch slices under every affected committer's stage
-//! lock (ascending) and swap all touched snapshots inside one odd-epoch
-//! window, so crash recovery and racing searches both see them
-//! all-or-nothing. Mutations hold the barrier read lock across their whole
-//! stage→apply pipeline, so checkpoints (barrier writers) run fully
-//! quiesced. Lock order: barrier → stage locks ascending → data locks
-//! ascending → document store.
+//! Sharding, group commit, snapshot reads, checkpoints and recovery are
+//! the [`ShardedIndex`] core's; this module supplies the Scheme 2 entry
+//! (a generation list per tag, no index metadata), its request handler
+//! and its search path. Searches resolve the tag — and walk the whole
+//! chain — against the shard's snapshot, never taking the shard mutex and
+//! never waiting on an fsync. The Optimization-1 cache is written back
+//! opportunistically afterwards (see [`ShardedIndex`]'s `try_edit`), and
+//! a per-shard search memo keyed on the snapshot's `applied_seq` answers
+//! repeat searches outright.
 
 use super::protocol::{self, GenerationEntry, Request};
 use super::{key_commitment, Scheme2Config};
-use crate::commit::{CommitCounters, CommitStats, GroupCommitter};
 use crate::error::{Result, SseError};
-use crate::health::{ScrubFindings, TenantHealth};
-use crate::journal::{IndexJournal, ServerRecovery};
 use crate::proto_common;
-use crate::shard::{self, shard_of, BatchId};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use crate::sharded::{IndexOptions, SchemeEntry, ShardData, ShardedIndex};
+use parking_lot::Mutex;
 use sse_index::bptree::BpTree;
 use sse_index::postings::{Generation, GenerationList};
 use sse_net::link::Service;
 use sse_net::wire::{WireReader, WireWriter};
 use sse_primitives::etm::EtmKey;
 use sse_primitives::hashchain::chain_step;
-use sse_storage::crc32::crc32;
-use sse_storage::lsm::{LsmDocStore, LsmKeywordMap};
-use sse_storage::store::DocStore;
-use sse_storage::{
-    resolve_backend, BackendCounters, BackendKind, DocBlobStore, KeywordMap, RealVfs, StorageError,
-    Vfs,
-};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use sse_storage::StorageError;
+use std::collections::HashMap;
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
 
-/// Snapshot magic, v2: the body leads with the `last_op_seq` covered by
-/// the snapshot so journal replay can skip already-applied mutations.
-const INDEX_MAGIC: &[u8; 8] = b"SSE2IDX2";
-/// Shard manifest file inside the server's home directory.
-const MANIFEST_FILE: &str = "scheme2.meta";
+/// The Scheme 2 [`SchemeEntry`]: generation lists, no index metadata.
+pub struct Scheme2Entry;
 
-/// Index snapshot file for shard `i` (shard 0 keeps the pre-sharding name
-/// so single-shard directories stay readable by and from older layouts).
-fn index_file(i: usize) -> String {
-    if i == 0 {
-        "scheme2.index".to_string()
-    } else {
-        format!("scheme2.{i}.index")
+impl SchemeEntry for Scheme2Entry {
+    type Value = GenerationList;
+    type Meta = ();
+    const PREFIX: &'static str = "scheme2";
+    /// v2: the body leads with the `last_op_seq` covered by the snapshot.
+    const MAGIC: &'static [u8; 8] = b"SSE2IDX2";
+
+    /// The Optimization-1 plaintext cache is *not* persisted — it is an
+    /// optimization the next search rebuilds, and keeping recovered state
+    /// minimal follows the principle of storing only what is necessary.
+    fn put_value(list: &GenerationList, w: &mut WireWriter) {
+        w.put_u64(list.len() as u64);
+        for generation in list.iter() {
+            w.put_bytes(&generation.masked_ids);
+            w.put_array(&generation.key_commitment);
+        }
+    }
+
+    fn get_value(r: &mut WireReader<'_>, (): &()) -> Result<GenerationList> {
+        let gens = r.get_count(40)?;
+        let mut list = GenerationList::new();
+        for _ in 0..gens {
+            let masked_ids = r.get_bytes()?.to_vec();
+            let key_commitment = r.get_array32()?;
+            list.push(Generation {
+                masked_ids,
+                key_commitment,
+            });
+        }
+        Ok(list)
+    }
+
+    fn put_meta((): &(), _: &mut WireWriter) {}
+
+    fn check_meta(_: &mut WireReader<'_>, (): &()) -> Result<()> {
+        Ok(())
+    }
+
+    fn replay(shard: &mut ShardData<Self>, (): &mut (), record: &[u8]) -> Result<()> {
+        match protocol::decode_request(record)? {
+            Request::AppendGenerations(entries) => append_generations(shard, &entries),
+            Request::ResetIndex => reset(shard),
+            _ => {
+                return Err(SseError::Storage(StorageError::Corrupt {
+                    what: "scheme2 index journal",
+                    detail: "journal holds a non-mutating request".to_string(),
+                }))
+            }
+        }
+        Ok(())
     }
 }
 
-/// Journal file for shard `i` (same legacy-name rule as [`index_file`]).
-fn journal_file(i: usize) -> String {
-    if i == 0 {
-        "scheme2.wal".to_string()
-    } else {
-        format!("scheme2.{i}.wal")
+/// Append generation entries to a shard's lists.
+fn append_generations(shard: &mut ShardData<Scheme2Entry>, entries: &[GenerationEntry]) {
+    for entry in entries {
+        shard.note_mutated(entry.tag);
+        let generation = Generation {
+            masked_ids: entry.sealed_ids.clone(),
+            key_commitment: entry.commitment,
+        };
+        match shard.tree.get_mut(&entry.tag) {
+            Some(list) => list.push(generation),
+            None => {
+                let mut list = GenerationList::new();
+                list.push(generation);
+                shard.tree.insert(entry.tag, list);
+            }
+        }
     }
 }
 
-/// LSM keyword-map file prefix for shard `i` (lsm backend only).
-fn kw_prefix(i: usize) -> String {
-    format!("scheme2.kw{i}")
+/// Clear a shard (`ResetIndex`).
+fn reset(shard: &mut ShardData<Scheme2Entry>) {
+    shard.note_cleared();
+    shard.tree = BpTree::new();
 }
 
 /// Out-of-band observability counters.
@@ -133,48 +158,6 @@ struct StatsCells {
     walk_steps_saved: AtomicU64,
 }
 
-/// A shard's mutable state: the live tree plus the highest op-seq applied
-/// to it. Mutations apply in seq order (`applied_seq + 1 == my_seq`).
-struct ShardData {
-    tree: BpTree<[u8; 32], GenerationList>,
-    applied_seq: u64,
-    /// Tags mutated since the last checkpoint. Only tracked under the lsm
-    /// backend, which flushes exactly these into its keyword map; the
-    /// btree backend rewrites the whole snapshot file and never records.
-    dirty: HashSet<[u8; 32]>,
-    /// A `ResetIndex` happened since the last checkpoint (lsm backend).
-    cleared: bool,
-    /// Durable per-shard keyword-map persistence (lsm backend only; the
-    /// btree backend keeps the monolithic `scheme2.index` snapshot).
-    kw_map: Option<LsmKeywordMap>,
-}
-
-impl ShardData {
-    /// Record a durable mutation of `tag` for the next checkpoint flush.
-    fn note_mutated(&mut self, tag: [u8; 32]) {
-        if self.kw_map.is_some() {
-            self.dirty.insert(tag);
-        }
-    }
-
-    /// Record a full index reset for the next checkpoint flush.
-    fn note_cleared(&mut self) {
-        if self.kw_map.is_some() {
-            self.dirty.clear();
-            self.cleared = true;
-        }
-    }
-}
-
-/// The immutable view searches resolve against.
-struct SnapShard {
-    tree: BpTree<[u8; 32], GenerationList>,
-    /// The highest op-seq applied to the tree in this snapshot. Search
-    /// memo entries are keyed on it: a memo recorded at seq S is valid
-    /// exactly while the shard's snapshot still carries seq S.
-    applied_seq: u64,
-}
-
 /// Per-keyword search memo: everything the server learned from serving a
 /// prior search, so a repeat search answers without touching the tree or
 /// re-walking the chain. Purely in-memory — never persisted, rebuilt by
@@ -204,561 +187,63 @@ struct SearchMemo {
 /// — the memo is an optimization, not state).
 const MEMO_CAP: usize = 4096;
 
-/// One index shard: group-commit pipeline + live tree + search snapshot.
-struct ShardSlot {
-    data: Mutex<ShardData>,
-    /// Signaled whenever `applied_seq` advances.
-    applied: Condvar,
-    committer: GroupCommitter,
-    snap: RwLock<Arc<SnapShard>>,
-    /// Per-keyword search memo (see [`SearchMemo`]). A short-critical-
-    /// section mutex: held only for a lookup or an insert, never across
-    /// crypto or I/O, so the search path stays effectively lock-free.
-    memo: Mutex<HashMap<[u8; 32], SearchMemo>>,
-}
-
-/// The Scheme 2 server.
+/// The Scheme 2 server: request handling over a [`ShardedIndex`], whose
+/// operational surface (checkpoints, health, repair, counters) it derefs
+/// to.
 pub struct Scheme2Server {
-    /// Read-held by every mutation pipeline, write-held by checkpoints —
-    /// a checkpoint must see every staged record already applied before
-    /// it may snapshot and reset journals.
-    barrier: RwLock<()>,
-    shards: Vec<ShardSlot>,
-    /// Seqlock epoch: odd while a multi-shard batch swaps its snapshots.
-    epoch: AtomicU64,
-    /// Contended shard-lock acquisitions, per shard (served via STATS).
-    contention: Vec<AtomicU64>,
-    /// Group-commit pipeline counters, shared by every shard's committer.
-    commit_stats: Arc<CommitStats>,
-    store: RwLock<Box<dyn DocBlobStore>>,
-    /// Which storage backend persists this server's state.
-    backend: BackendKind,
+    index: ShardedIndex<Scheme2Entry>,
+    /// Per-shard keyword search memos (see [`SearchMemo`]). Short
+    /// critical sections: held only for a lookup or an insert, never
+    /// across crypto or I/O, so the search path stays effectively
+    /// lock-free.
+    memos: Vec<Mutex<HashMap<[u8; 32], SearchMemo>>>,
     config: Scheme2Config,
     stats: StatsCells,
-    /// Durable home directory (None for in-memory servers).
-    dir: Option<std::path::PathBuf>,
-    /// The VFS every index file goes through (real or fault-injecting).
-    vfs: Arc<dyn Vfs>,
-    /// What the last [`Scheme2Server::open_durable`] had to repair.
-    recovery: ServerRecovery,
-    /// Per-tenant health cell: storage write failures degrade the server
-    /// to read-only until [`Scheme2Server::repair`] succeeds.
-    health: Arc<TenantHealth>,
+}
+
+impl Deref for Scheme2Server {
+    type Target = ShardedIndex<Scheme2Entry>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.index
+    }
 }
 
 impl Scheme2Server {
     /// In-memory server with a single index shard.
     #[must_use]
     pub fn new_in_memory(config: Scheme2Config) -> Self {
-        Self::new_in_memory_sharded(config, 1)
+        Self::over(ShardedIndex::in_memory((), 1), config)
     }
 
-    /// In-memory server with `shards` independently locked index shards.
-    #[must_use]
-    pub fn new_in_memory_sharded(config: Scheme2Config, shards: usize) -> Self {
-        let n = shards.max(1);
-        let commit_stats = Arc::new(CommitStats::default());
-        Scheme2Server {
-            barrier: RwLock::new(()),
-            shards: (0..n)
-                .map(|_| ShardSlot {
-                    data: Mutex::new(ShardData {
-                        tree: BpTree::new(),
-                        applied_seq: 0,
-                        dirty: HashSet::new(),
-                        cleared: false,
-                        kw_map: None,
-                    }),
-                    applied: Condvar::new(),
-                    committer: GroupCommitter::new_in_memory(Arc::clone(&commit_stats)),
-                    snap: RwLock::new(Arc::new(SnapShard {
-                        tree: BpTree::new(),
-                        applied_seq: 0,
-                    })),
-                    memo: Mutex::new(HashMap::new()),
-                })
-                .collect(),
-            epoch: AtomicU64::new(0),
-            contention: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            commit_stats,
-            store: RwLock::new(Box::new(DocStore::in_memory())),
-            backend: BackendKind::Btree,
-            config,
-            stats: StatsCells::default(),
-            dir: None,
-            vfs: RealVfs::arc(),
-            recovery: ServerRecovery::default(),
-            health: Arc::new(TenantHealth::new()),
-        }
-    }
-
-    /// Durable server persisting document blobs under `dir`, single index
-    /// shard. Recovery brings back everything acknowledged before a
-    /// crash: the document store replays its WAL, each shard's index
-    /// snapshot (if any) is loaded, and index mutations journaled after
-    /// the snapshots are re-applied in order (incomplete cross-shard
-    /// batches excluded).
+    /// Durable server persisting under `dir` with default options (see
+    /// [`Scheme2Server::open`]).
     ///
     /// # Errors
-    /// Storage errors while opening or recovering the document store, a
-    /// corrupt index snapshot, or a corrupt journal record.
+    /// As [`Scheme2Server::open`].
     pub fn open_durable(config: Scheme2Config, dir: &Path) -> Result<Self> {
-        Self::open_durable_with_vfs(RealVfs::arc(), config, dir)
+        Self::open(config, IndexOptions::durable(dir))
     }
 
-    /// [`Scheme2Server::open_durable`] with an index sharded `shards`
-    /// ways. The count is fixed at directory creation (recorded in the
-    /// shard manifest); reopening adopts whatever the directory holds.
+    /// Server opened as `opts` describe; a durable directory is recovered
+    /// as [`ShardedIndex`] documents.
     ///
     /// # Errors
-    /// As [`Scheme2Server::open_durable`].
-    pub fn open_durable_sharded(config: Scheme2Config, dir: &Path, shards: usize) -> Result<Self> {
-        Self::open_durable_with_vfs_sharded(RealVfs::arc(), config, dir, shards)
+    /// Storage errors while opening or recovering, a corrupt index or
+    /// journal record, or a backend mismatch.
+    pub fn open(config: Scheme2Config, opts: IndexOptions) -> Result<Self> {
+        Ok(Self::over(ShardedIndex::open((), opts)?, config))
     }
 
-    /// [`Scheme2Server::open_durable`] over an explicit [`Vfs`] (fault
-    /// injection runs the whole server through a
-    /// [`sse_storage::FaultVfs`]).
-    ///
-    /// # Errors
-    /// As [`Scheme2Server::open_durable`], plus injected faults.
-    pub fn open_durable_with_vfs(
-        vfs: Arc<dyn Vfs>,
-        config: Scheme2Config,
-        dir: &Path,
-    ) -> Result<Self> {
-        Self::open_durable_with_vfs_sharded(vfs, config, dir, 1)
-    }
-
-    /// [`Scheme2Server::open_durable_sharded`] over an explicit [`Vfs`],
-    /// with group commit enabled.
-    ///
-    /// # Errors
-    /// As [`Scheme2Server::open_durable`], plus injected faults.
-    pub fn open_durable_with_vfs_sharded(
-        vfs: Arc<dyn Vfs>,
-        config: Scheme2Config,
-        dir: &Path,
-        shards: usize,
-    ) -> Result<Self> {
-        Self::open_durable_with_vfs_opts(vfs, config, dir, shards, true)
-    }
-
-    /// [`Scheme2Server::open_durable_with_vfs_sharded`] with group commit
-    /// switchable: when `group_commit` is false every journal record is
-    /// flushed on its own (one fsync per op) — the benchmark's baseline
-    /// arm. Durability and recovery semantics are identical either way.
-    ///
-    /// # Errors
-    /// As [`Scheme2Server::open_durable`], plus injected faults.
-    pub fn open_durable_with_vfs_opts(
-        vfs: Arc<dyn Vfs>,
-        config: Scheme2Config,
-        dir: &Path,
-        shards: usize,
-        group_commit: bool,
-    ) -> Result<Self> {
-        Self::open_durable_with_backend(vfs, config, dir, shards, group_commit, BackendKind::Btree)
-    }
-
-    /// [`Scheme2Server::open_durable_with_vfs_opts`] with an explicit
-    /// storage backend. The backend is fixed at directory creation
-    /// (recorded in `backend.meta`); reopening under the other backend is
-    /// a clean [`StorageError::BackendMismatch`], never silent corruption.
-    /// Directories created before backend manifests existed are `btree`.
-    ///
-    /// Under [`BackendKind::Lsm`] the document store is an
-    /// [`LsmDocStore`] and each shard's generation lists persist in an
-    /// [`LsmKeywordMap`]: checkpoints flush only the tags mutated since
-    /// the previous checkpoint as one new sorted run, instead of
-    /// rewriting the whole index snapshot.
-    ///
-    /// # Errors
-    /// As [`Scheme2Server::open_durable`], plus backend mismatch.
-    pub fn open_durable_with_backend(
-        vfs: Arc<dyn Vfs>,
-        config: Scheme2Config,
-        dir: &Path,
-        shards: usize,
-        group_commit: bool,
-        backend: BackendKind,
-    ) -> Result<Self> {
-        let backend = resolve_backend(
-            vfs.as_ref(),
-            dir,
-            backend,
-            &[
-                MANIFEST_FILE,
-                "store.wal",
-                "store.snapshot",
-                &index_file(0),
-                &journal_file(0),
-            ],
-        )?;
-        let opts = sse_storage::store::StoreOptions::default();
-        let store: Box<dyn DocBlobStore> = match backend {
-            BackendKind::Btree => Box::new(DocStore::open_with_vfs(vfs.clone(), dir, opts)?),
-            BackendKind::Lsm => Box::new(LsmDocStore::open_with_vfs(vfs.clone(), dir, opts)?),
-        };
-        let store_recovery = store.recovery_report();
-        let n =
-            shard::resolve_shard_count(vfs.as_ref(), dir, MANIFEST_FILE, &index_file(0), shards)?;
-        let mut trees: Vec<BpTree<[u8; 32], GenerationList>> = Vec::with_capacity(n);
-        let mut kw_maps: Vec<Option<LsmKeywordMap>> = Vec::with_capacity(n);
-        let mut journals: Vec<IndexJournal> = Vec::with_capacity(n);
-        let mut recoveries = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut tree = BpTree::new();
-            let mut snapshot_seq = 0u64;
-            let mut kw_map = None;
-            match backend {
-                BackendKind::Btree => {
-                    let index_path = dir.join(index_file(i));
-                    if vfs.exists(&index_path) {
-                        let bytes = vfs.read(&index_path).map_err(StorageError::Io)?;
-                        snapshot_seq = load_shard_snapshot(&mut tree, &bytes)?;
-                    }
-                }
-                BackendKind::Lsm => {
-                    let map = LsmKeywordMap::open(vfs.clone(), dir, &kw_prefix(i))?;
-                    snapshot_seq = map.last_seq();
-                    for (tag, value) in map.iter_all()? {
-                        tree.insert(tag, decode_generation_list(&value)?);
-                    }
-                    kw_map = Some(map);
-                }
-            }
-            let (journal, recovery) = IndexJournal::open_with_vfs(
-                vfs.clone(),
-                &dir.join(journal_file(i)),
-                true,
-                snapshot_seq,
-            )?;
-            trees.push(tree);
-            kw_maps.push(kw_map);
-            journals.push(journal);
-            recoveries.push(recovery);
-        }
-        let plan = shard::resolve_shard_recoveries(&recoveries)?;
-        let mut replayed = 0u64;
-        let mut dirty_sets: Vec<HashSet<[u8; 32]>> = vec![HashSet::new(); n];
-        let mut cleared_flags = vec![false; n];
-        for (si, (tree, apply)) in trees.iter_mut().zip(&plan.apply).enumerate() {
-            for raw in apply {
-                replay_into(tree, raw, &mut dirty_sets[si], &mut cleared_flags[si])?;
-                replayed += 1;
-            }
-        }
-        let commit_stats = Arc::new(CommitStats::default());
-        let shards: Vec<ShardSlot> = trees
-            .into_iter()
-            .zip(journals)
-            .zip(kw_maps)
-            .zip(dirty_sets.into_iter().zip(cleared_flags))
-            .map(|(((tree, journal), kw_map), (dirty, cleared))| {
-                let applied_seq = journal.last_seq();
-                // Replayed journal records are not yet in the keyword map;
-                // keep their tags dirty so the next checkpoint flushes
-                // them. Irrelevant for btree (whole-snapshot rewrites).
-                let (dirty, cleared) = if kw_map.is_some() {
-                    (dirty, cleared)
-                } else {
-                    (HashSet::new(), false)
-                };
-                ShardSlot {
-                    snap: RwLock::new(Arc::new(SnapShard {
-                        tree: tree.clone(),
-                        applied_seq,
-                    })),
-                    data: Mutex::new(ShardData {
-                        tree,
-                        applied_seq,
-                        dirty,
-                        cleared,
-                        kw_map,
-                    }),
-                    applied: Condvar::new(),
-                    committer: GroupCommitter::new_durable(
-                        journal,
-                        group_commit,
-                        Arc::clone(&commit_stats),
-                    ),
-                    memo: Mutex::new(HashMap::new()),
-                }
-            })
-            .collect();
-        Ok(Scheme2Server {
-            barrier: RwLock::new(()),
-            shards,
-            epoch: AtomicU64::new(0),
-            contention: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            commit_stats,
-            store: RwLock::new(store),
-            backend,
+    fn over(index: ShardedIndex<Scheme2Entry>, config: Scheme2Config) -> Self {
+        Scheme2Server {
+            memos: (0..index.num_shards())
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
+            index,
             config,
             stats: StatsCells::default(),
-            dir: Some(dir.to_path_buf()),
-            vfs,
-            recovery: ServerRecovery {
-                index_ops_replayed: replayed,
-                index_torn_bytes: recoveries.iter().map(|r| r.torn_bytes_truncated).sum(),
-                store_snapshot_loaded: store_recovery.snapshot_loaded,
-                store_wal_records_replayed: store_recovery.wal_records_replayed,
-                store_torn_bytes: store_recovery.torn_bytes_truncated,
-            },
-            health: Arc::new(TenantHealth::new()),
-        })
-    }
-
-    /// This server's health cell, shared with the serving daemon's request
-    /// router and the background scrub.
-    #[must_use]
-    pub fn health(&self) -> &Arc<TenantHealth> {
-        &self.health
-    }
-
-    /// Report a failed mutation: storage-typed failures degrade the tenant
-    /// to read-only (validation and protocol errors do not — they say
-    /// nothing about the disk), then encode the protocol error response.
-    fn mutation_failed(&self, e: &SseError) -> Vec<u8> {
-        if matches!(e, SseError::Storage(_)) {
-            self.health.note_storage_error(&e.to_string());
         }
-        proto_common::encode_error(&e.to_string())
-    }
-
-    /// Attempt to repair a degraded server — the scrub's probe-write path.
-    ///
-    /// Under full quiescence (barrier write lock + all data locks, so no
-    /// mutation is staging, flushing or applying), re-persist every
-    /// shard's *applied* state — document-store checkpoint, then index
-    /// snapshots (btree) or keyword-map flushes (lsm) — and then replace
-    /// each shard's journal with a freshly opened empty one, clearing any
-    /// group-commit poison. Seqs of failed groups are reclaimed: those
-    /// records were never acknowledged and the fresh journal restarts
-    /// densely at `applied_seq + 1`. The end-to-end write pass is itself
-    /// the probe write: on success the health cell returns to Healthy.
-    ///
-    /// # Errors
-    /// Filesystem errors (the disk is still bad); the server stays
-    /// Degraded and the scrub retries later. In-memory servers have
-    /// nothing to repair and always succeed.
-    pub fn repair(&self) -> Result<()> {
-        let Some(dir) = self.dir.clone() else {
-            self.health.note_probe_ok();
-            return Ok(());
-        };
-        let _quiesce = self.barrier.write();
-        let mut datas = self.lock_all_data();
-        self.store.write().checkpoint()?;
-        match self.backend {
-            BackendKind::Btree => {
-                for (i, data) in datas.iter().enumerate() {
-                    self.save_shard_snapshot(data, &dir.join(index_file(i)))?;
-                }
-                self.vfs.sync_dir(&dir).map_err(StorageError::Io)?;
-            }
-            BackendKind::Lsm => {
-                for data in datas.iter_mut() {
-                    flush_shard_kw_map(data)?;
-                }
-            }
-        }
-        for (i, data) in datas.iter().enumerate() {
-            let path = dir.join(journal_file(i));
-            let _ = self.vfs.remove_file(&path);
-            let (journal, _) =
-                IndexJournal::open_with_vfs(self.vfs.clone(), &path, true, data.applied_seq)?;
-            self.shards[i].committer.replace_journal(journal);
-        }
-        self.health.note_probe_ok();
-        Ok(())
-    }
-
-    /// Checksum-verify every on-disk artifact of this server (scrub
-    /// integrity pass): WAL segments, index snapshots (btree) or LSM runs,
-    /// and the document store's runs (lsm backend; heap pages carry no
-    /// CRCs and are skipped).
-    ///
-    /// WAL segments and btree snapshots are prefix-stable / swapped by
-    /// rename, so they are verified lock-free; LSM runs are swapped in
-    /// place by flush/compaction and are verified under the shard data
-    /// lock (store read lock for the doc store).
-    ///
-    /// # Errors
-    /// [`StorageError::Corrupt`] on *confirmed* corruption — a bad-CRC
-    /// record in the middle of a WAL (valid records follow it), a snapshot
-    /// or run checksum mismatch. Torn WAL tails are repairable, counted in
-    /// the findings, and never an error. I/O errors are transient.
-    pub fn verify_files(&self) -> Result<ScrubFindings> {
-        let mut findings = ScrubFindings::default();
-        let Some(dir) = self.dir.clone() else {
-            return Ok(findings);
-        };
-        let mut wal_paths: Vec<std::path::PathBuf> = (0..self.shards.len())
-            .map(|i| dir.join(journal_file(i)))
-            .collect();
-        wal_paths.push(dir.join(if self.backend == BackendKind::Lsm {
-            "doc.wal"
-        } else {
-            "store.wal"
-        }));
-        for path in &wal_paths {
-            match sse_storage::wal::verify_file(self.vfs.as_ref(), path)? {
-                sse_storage::wal::WalVerdict::Clean { .. } => findings.artifacts_verified += 1,
-                sse_storage::wal::WalVerdict::TornTail { .. } => {
-                    findings.artifacts_verified += 1;
-                    findings.torn_tails_seen += 1;
-                }
-                sse_storage::wal::WalVerdict::Corrupt { at } => {
-                    return Err(SseError::Storage(StorageError::Corrupt {
-                        what: "wal segment",
-                        detail: format!(
-                            "scrub: mid-log checksum mismatch at byte {at} in {}",
-                            path.display()
-                        ),
-                    }));
-                }
-            }
-        }
-        match self.backend {
-            BackendKind::Btree => {
-                for i in 0..self.shards.len() {
-                    if verify_index_snapshot(self.vfs.as_ref(), &dir.join(index_file(i)))? {
-                        findings.artifacts_verified += 1;
-                    }
-                }
-            }
-            BackendKind::Lsm => {
-                for i in 0..self.shards.len() {
-                    let data = self.lock_data(i);
-                    if let Some(map) = &data.kw_map {
-                        findings.artifacts_verified += map.verify_runs()?;
-                    }
-                }
-            }
-        }
-        findings.artifacts_verified += self.store.read().verify()?;
-        Ok(findings)
-    }
-
-    /// What the last [`Scheme2Server::open_durable`] had to repair.
-    #[must_use]
-    pub fn recovery(&self) -> ServerRecovery {
-        self.recovery
-    }
-
-    /// Number of index shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Contended shard-lock acquisitions since startup, per shard.
-    #[must_use]
-    pub fn shard_contention(&self) -> Vec<u64> {
-        self.contention
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Group-commit pipeline counters (groups, ops, fsyncs saved,
-    /// snapshot swaps) since startup.
-    #[must_use]
-    pub fn commit_counters(&self) -> CommitCounters {
-        self.commit_stats.counters()
-    }
-
-    /// The storage backend persisting this server's state.
-    #[must_use]
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    /// Per-backend storage counters (runs, compactions, bloom hit rates):
-    /// the document store's plus every shard keyword map's. All zero
-    /// under the btree backend.
-    #[must_use]
-    pub fn backend_counters(&self) -> BackendCounters {
-        let mut c = self.store.read().counters();
-        for i in 0..self.shards.len() {
-            let data = self.lock_data(i);
-            if let Some(map) = &data.kw_map {
-                c.merge(&map.counters());
-            }
-        }
-        c
-    }
-
-    /// Checkpoint everything durable, in crash-safe order: document store
-    /// snapshot, then every shard's index snapshot (each recording its
-    /// `applied_seq` as `last_op_seq`), then every journal truncation.
-    /// The barrier write lock quiesces the mutation pipeline first, so
-    /// every staged record is both durable and applied — no journal may
-    /// be reset while a group is in flight, and the snapshots-before-any-
-    /// reset order keeps cross-shard batch slices resolvable.
-    ///
-    /// # Errors
-    /// Filesystem errors. No-op index-wise for in-memory servers.
-    pub fn checkpoint(&self, dir: &Path) -> Result<()> {
-        let _quiesce = self.barrier.write();
-        let mut datas = self.lock_all_data();
-        self.store.write().checkpoint()?;
-        match self.backend {
-            BackendKind::Btree => {
-                for (i, data) in datas.iter().enumerate() {
-                    self.save_shard_snapshot(data, &dir.join(index_file(i)))?;
-                }
-                // The snapshots committed via rename; one dir fsync makes
-                // all the renames durable before any journal is reset.
-                self.vfs.sync_dir(dir).map_err(StorageError::Io)?;
-            }
-            BackendKind::Lsm => {
-                for data in datas.iter_mut() {
-                    flush_shard_kw_map(data)?;
-                }
-            }
-        }
-        for slot in &self.shards {
-            slot.committer.reset_journal()?;
-        }
-        Ok(())
-    }
-
-    /// Checkpoint into the server's own home directory; no-op for
-    /// in-memory servers.
-    ///
-    /// # Errors
-    /// Filesystem errors.
-    pub fn checkpoint_home(&self) -> Result<()> {
-        match self.dir.clone() {
-            Some(dir) => self.checkpoint(&dir),
-            None => Ok(()),
-        }
-    }
-
-    /// Number of unique keywords indexed (`u`).
-    #[must_use]
-    pub fn unique_keywords(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.lock_data(i).tree.len())
-            .sum()
-    }
-
-    /// Number of stored documents.
-    #[must_use]
-    pub fn stored_docs(&self) -> usize {
-        self.store.read().len()
-    }
-
-    /// Height of the tallest shard's tag tree.
-    #[must_use]
-    pub fn tree_height(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.lock_data(i).tree.height())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Observability counters.
@@ -795,7 +280,8 @@ impl Scheme2Server {
     /// Total stored index bytes across all generation lists (diagnostic).
     #[must_use]
     pub fn index_bytes(&self) -> usize {
-        self.lock_all_data()
+        self.index
+            .lock_all_data()
             .iter()
             .map(|s| s.tree.iter().map(|(_, l)| l.stored_bytes()).sum::<usize>())
             .sum()
@@ -846,268 +332,43 @@ impl Scheme2Server {
                 Err(e) => return proto_common::encode_error(&e.to_string()),
             }
         }
-        if !docs.is_empty() {
-            let mut store = self.store.write();
-            for (id, blob) in &docs {
-                if let Err(e) = store.put(*id, blob) {
-                    drop(store);
-                    return self.mutation_failed(&SseError::Storage(e));
-                }
-            }
+        if let Err(resp) = self.index.put_docs(&docs) {
+            return resp;
         }
         self.append_sharded(entries)
     }
 
-    /// Acquire shard `i`'s data lock, counting a contended acquisition
-    /// when the lock was not immediately free.
-    fn lock_data(&self, i: usize) -> MutexGuard<'_, ShardData> {
-        match self.shards[i].data.try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.contention[i].fetch_add(1, Ordering::Relaxed);
-                self.shards[i].data.lock()
-            }
-        }
-    }
-
-    /// Lock every shard's data in ascending order (checkpoint / export).
-    fn lock_all_data(&self) -> Vec<MutexGuard<'_, ShardData>> {
-        (0..self.shards.len()).map(|i| self.lock_data(i)).collect()
-    }
-
-    /// Fetch shard `i`'s search snapshot, retrying around multi-shard
-    /// swap windows (odd epoch) so a reader never observes a half-swapped
-    /// batch across shards.
-    fn snap(&self, i: usize) -> Arc<SnapShard> {
-        loop {
-            let before = self.epoch.load(Ordering::Acquire);
-            if before & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let snap = Arc::clone(&self.shards[i].snap.read());
-            if self.epoch.load(Ordering::Acquire) == before {
-                return snap;
-            }
-        }
-    }
-
-    /// Publish shard `i`'s current tree as the immutable search snapshot.
-    /// O(1): the tree clone shares all nodes copy-on-write.
-    fn publish(&self, i: usize, data: &ShardData) {
-        *self.shards[i].snap.write() = Arc::new(SnapShard {
-            tree: data.tree.clone(),
-            applied_seq: data.applied_seq,
-        });
-        self.commit_stats.note_swap();
-    }
-
-    /// Wait until shard `i` has applied every predecessor of `seq`, then
-    /// run `apply`, advance `applied_seq`, publish the snapshot and wake
-    /// successors. The caller must have made `seq` durable first.
-    fn apply_at(&self, i: usize, seq: u64, apply: impl FnOnce(&mut ShardData)) {
-        let slot = &self.shards[i];
-        let mut data = self.lock_data(i);
-        while data.applied_seq + 1 != seq {
-            data = slot
-                .applied
-                .wait(data)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        apply(&mut data);
-        data.applied_seq = seq;
-        self.publish(i, &data);
-        drop(data);
-        slot.applied.notify_all();
-    }
-
-    /// Run one mutation through the full pipeline: stage its journal
-    /// record(s) (one per affected shard, batch slices when several),
-    /// wait for the group fsync(s), then apply in seq order and publish
-    /// new snapshots. `idxs` must be ascending and non-empty. The caller
-    /// must hold the barrier read lock.
-    ///
-    /// On partial durability (some shard's journal failed) nothing is
-    /// applied anywhere: durable shards advance `applied_seq` without
-    /// mutating (recovery's sibling-completeness check discards their
-    /// on-disk slices too), failed shards are poisoned, and the client
-    /// gets an error — the mutation is never acknowledged.
-    fn commit_mutation(
-        &self,
-        idxs: &[usize],
-        encode_for: impl Fn(usize) -> Vec<u8>,
-        mut apply_for: impl FnMut(usize, &mut ShardData),
-    ) -> Result<()> {
-        debug_assert!(idxs.windows(2).all(|w| w[0] < w[1]));
-        if idxs.len() == 1 {
-            let i = idxs[0];
-            let seq = self.shards[i].committer.stage(&encode_for(i))?;
-            self.shards[i].committer.wait_durable(seq)?;
-            self.apply_at(i, seq, |data| apply_for(i, data));
-            return Ok(());
-        }
-
-        // Phase S — stage every slice atomically under all stage locks
-        // (ascending), so the batch id (coordinator shard, coordinator
-        // seq) is consistent and no foreign record interleaves.
-        let shard_set: Vec<u32> = idxs.iter().map(|&i| i as u32).collect();
-        let mut guards: Vec<_> = idxs
-            .iter()
-            .map(|&i| self.shards[i].committer.lock())
-            .collect();
-        if guards.iter().any(crate::commit::StageGuard::poisoned) {
-            return Err(journal_unavailable());
-        }
-        let batch = BatchId {
-            coordinator: shard_set[0],
-            seq: guards[0].next_seq(),
-        };
-        let mut seqs = Vec::with_capacity(idxs.len());
-        for (guard, &i) in guards.iter_mut().zip(idxs) {
-            // Cannot fail: staging only errors on poison, checked above
-            // while continuously holding every stage lock.
-            seqs.push(guard.stage(&shard::encode_slice(batch, &shard_set, &encode_for(i)))?);
-        }
-        drop(guards);
-
-        // Phase D — wait for every shard's group fsync.
-        let mut durable = vec![false; idxs.len()];
-        let mut first_err = None;
-        for (k, &i) in idxs.iter().enumerate() {
-            match self.shards[i].committer.wait_durable(seqs[k]) {
-                Ok(()) => durable[k] = true,
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        let apply = first_err.is_none();
-
-        // Phase R — wait (one shard at a time, holding nothing else)
-        // until each durable shard has applied all our predecessors.
-        // Stable once reached: our seq is the only possible successor.
-        for (k, &i) in idxs.iter().enumerate() {
-            if !durable[k] {
-                continue;
-            }
-            let slot = &self.shards[i];
-            let mut data = self.lock_data(i);
-            while data.applied_seq + 1 != seqs[k] {
-                data = slot
-                    .applied
-                    .wait(data)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-
-        // Phase A — lock all durable shards (ascending) and swap them
-        // atomically inside an odd-epoch window so snapshot readers see
-        // the batch all-or-nothing.
-        if apply {
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-        let mut held: Vec<(usize, MutexGuard<'_, ShardData>)> = Vec::with_capacity(idxs.len());
-        for (k, &i) in idxs.iter().enumerate() {
-            if durable[k] {
-                held.push((k, self.lock_data(i)));
-            }
-        }
-        for (k, data) in &mut held {
-            debug_assert_eq!(data.applied_seq + 1, seqs[*k], "readiness must be stable");
-            if apply {
-                apply_for(idxs[*k], data);
-            }
-            data.applied_seq = seqs[*k];
-        }
-        if apply {
-            for (k, data) in &held {
-                self.publish(idxs[*k], data);
-            }
-        }
-        drop(held);
-        if apply {
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-        for (k, &i) in idxs.iter().enumerate() {
-            if durable[k] {
-                self.shards[i].applied.notify_all();
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
     /// Append generation entries: group per shard (preserving input order
-    /// within each shard), then run the group-commit pipeline. The
-    /// barrier read lock is held across the whole pipeline so barrier
-    /// writers (checkpoints) always see it quiesced.
+    /// within each shard), then run the group-commit pipeline under the
+    /// barrier read lock, so barrier writers (checkpoints) always see it
+    /// quiesced.
     fn append_sharded(&self, entries: Vec<GenerationEntry>) -> Vec<u8> {
         if entries.is_empty() {
             return proto_common::encode_ack();
         }
-        let _pipeline = self.barrier.read();
-        let n = self.shards.len();
-        let mut groups: BTreeMap<usize, Vec<GenerationEntry>> = BTreeMap::new();
-        for entry in entries {
-            groups
-                .entry(shard_of(&entry.tag, n))
-                .or_default()
-                .push(entry);
-        }
+        let barrier = self.index.meta();
+        let groups = self.index.group_by_shard(entries, |e| &e.tag);
         let idxs: Vec<usize> = groups.keys().copied().collect();
-        let result = self.commit_mutation(
+        let result = self.index.commit_mutation(
             &idxs,
             |i| protocol::encode_append_generations(&groups[&i]),
-            |i, data| {
-                for entry in &groups[&i] {
-                    data.note_mutated(entry.tag);
-                    append_entry(&mut data.tree, entry.clone());
-                    self.stats
-                        .generations_appended
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+            |i, shard| {
+                append_generations(shard, &groups[&i]);
+                self.stats
+                    .generations_appended
+                    .fetch_add(groups[&i].len() as u64, Ordering::Relaxed);
             },
+            &barrier,
         );
-        match result {
-            Ok(()) => proto_common::encode_ack(),
-            Err(e) => self.mutation_failed(&e),
-        }
-    }
-
-    fn handle_reset_index(&self) -> Vec<u8> {
-        // ResetIndex rewrites every shard, so the batch spans all N.
-        let _pipeline = self.barrier.read();
-        let idxs: Vec<usize> = (0..self.shards.len()).collect();
-        let result = self.commit_mutation(
-            &idxs,
-            |_| protocol::encode_reset_index(),
-            |_, data| {
-                data.note_cleared();
-                data.tree = BpTree::new();
-            },
-        );
-        match result {
-            Ok(()) => proto_common::encode_ack(),
-            Err(e) => self.mutation_failed(&e),
-        }
+        self.index.respond(result)
     }
 
     fn handle_request(&self, request: Request) -> Vec<u8> {
         match request {
-            Request::PutDocs(docs) => {
-                let mut store = self.store.write();
-                for (id, blob) in docs {
-                    if let Err(e) = store.put(id, &blob) {
-                        drop(store);
-                        return self.mutation_failed(&SseError::Storage(e));
-                    }
-                }
-                proto_common::encode_ack()
-            }
+            Request::PutDocs(docs) => match self.index.put_docs(&docs) {
+                Ok(()) => proto_common::encode_ack(),
+                Err(resp) => resp,
+            },
             Request::AppendGenerations(entries) => self.append_sharded(entries),
             Request::Search { tag, t_prime } => match self.search_one(tag, t_prime) {
                 Ok(docs) => proto_common::encode_result(&docs),
@@ -1123,27 +384,25 @@ impl Scheme2Server {
                 }
                 proto_common::encode_result_many(&results)
             }
-            Request::ResetIndex => self.handle_reset_index(),
-            Request::Checkpoint => {
-                let Some(dir) = self.dir.clone() else {
-                    return proto_common::encode_error(
-                        "checkpoint requested on an in-memory server",
-                    );
-                };
-                match self.checkpoint(&dir) {
-                    Ok(()) => proto_common::encode_ack(),
-                    Err(e) => self.mutation_failed(&e),
-                }
+            Request::ResetIndex => {
+                // ResetIndex rewrites every shard, so the batch spans all N.
+                let barrier = self.index.meta();
+                let idxs: Vec<usize> = (0..self.index.num_shards()).collect();
+                let result = self.index.commit_mutation(
+                    &idxs,
+                    |_| protocol::encode_reset_index(),
+                    |_, shard| reset(shard),
+                    &barrier,
+                );
+                self.index.respond(result)
             }
-            Request::RemoveDocs(ids) => {
-                let mut store = self.store.write();
-                for id in ids {
-                    // Deleting an unknown id is a no-op, not an error: the
-                    // posting-side delete entries may arrive first.
-                    let _ = store.delete(id);
-                }
-                proto_common::encode_ack()
-            }
+            Request::Checkpoint => self.index.checkpoint_request(),
+            // Deleting an unknown id is a no-op, not an error: the
+            // posting-side delete entries may arrive first.
+            Request::RemoveDocs(ids) => match self.index.remove_docs(&ids) {
+                Ok(()) => proto_common::encode_ack(),
+                Err(resp) => resp,
+            },
         }
     }
 
@@ -1161,8 +420,8 @@ impl Scheme2Server {
         let max_walk = self.config.chain_length as usize + 1;
         let use_cache = self.config.server_cache;
 
-        let si = shard_of(&tag, self.shards.len());
-        let snap = self.snap(si);
+        let si = self.index.shard_for(&tag);
+        let snap = self.index.snap(si);
 
         // Memo fast path: if this keyword was searched before and the
         // shard has not changed since, answer without touching the tree
@@ -1278,7 +537,7 @@ impl Scheme2Server {
                 tag,
             );
         }
-        Ok(self.store.read().get_many(&all_ids))
+        Ok(self.index.get_docs(&all_ids))
     }
 
     /// Try to answer a search from the per-keyword memo. Returns the
@@ -1294,7 +553,7 @@ impl Scheme2Server {
         t_prime: &[u8; 32],
         max_walk: usize,
     ) -> Option<Vec<(u64, Vec<u8>)>> {
-        let memo = self.shards[si].memo.lock().get(tag).cloned()?;
+        let memo = self.memos[si].lock().get(tag).cloned()?;
         if memo.applied_seq != snap_seq {
             return None;
         }
@@ -1329,7 +588,7 @@ impl Scheme2Server {
         if delta > 0 {
             // Advance the memo to the newer trapdoor so the next repeat
             // of *this* trapdoor is a zero-walk hit.
-            let mut map = self.shards[si].memo.lock();
+            let mut map = self.memos[si].lock();
             if let Some(live) = map.get_mut(tag) {
                 if live.applied_seq == memo.applied_seq && live.t_prime == memo.t_prime {
                     live.t_prime = *t_prime;
@@ -1337,12 +596,12 @@ impl Scheme2Server {
                 }
             }
         }
-        Some(self.store.read().get_many(&memo.ids))
+        Some(self.index.get_docs(&memo.ids))
     }
 
     /// Record a cold search's answer in the shard's memo map.
     fn store_memo(&self, si: usize, memo: SearchMemo, tag: [u8; 32]) {
-        let mut map = self.shards[si].memo.lock();
+        let mut map = self.memos[si].lock();
         if map.len() >= MEMO_CAP && !map.contains_key(&tag) {
             map.clear();
         }
@@ -1366,235 +625,20 @@ impl Scheme2Server {
         seen: &GenerationList,
         all_ids: Vec<u64>,
     ) {
-        let Some(mut data) = self.shards[si].data.try_lock() else {
-            return;
-        };
-        let Some(live) = data.tree.get_mut(tag) else {
-            return;
-        };
-        let unchanged = live.len() == seen.len()
-            && live.cached_generations() == seen.cached_generations()
-            && live.undecrypted().last().map(|g| g.key_commitment)
-                == seen.undecrypted().last().map(|g| g.key_commitment);
-        if !unchanged {
-            return;
-        }
-        live.set_cached(all_ids);
-        self.publish(si, &data);
-    }
-
-    /// Persist one shard's generation lists to a CRC-protected snapshot
-    /// (carrying the shard's `applied_seq` as `last_op_seq`). The
-    /// Optimization-1 plaintext cache is *not* persisted — it is an
-    /// optimization the next search rebuilds, and keeping recovered state
-    /// minimal follows the principle of storing only what is necessary.
-    fn save_shard_snapshot(&self, data: &ShardData, path: &Path) -> Result<()> {
-        let mut body = WireWriter::new();
-        body.put_u64(data.applied_seq);
-        body.put_u64(data.tree.len() as u64);
-        for (tag, list) in data.tree.iter() {
-            body.put_array(tag);
-            body.put_u64(list.len() as u64);
-            for generation in list.iter() {
-                body.put_bytes(&generation.masked_ids);
-                body.put_array(&generation.key_commitment);
+        self.index.try_edit(si, |tree| {
+            let Some(live) = tree.get_mut(tag) else {
+                return false;
+            };
+            let unchanged = live.len() == seen.len()
+                && live.cached_generations() == seen.cached_generations()
+                && live.undecrypted().last().map(|g| g.key_commitment)
+                    == seen.undecrypted().last().map(|g| g.key_commitment);
+            if unchanged {
+                live.set_cached(all_ids);
             }
-        }
-        let body = body.finish();
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = self.vfs.create(&tmp).map_err(StorageError::Io)?;
-            let mut header = Vec::with_capacity(12);
-            header.extend_from_slice(INDEX_MAGIC);
-            header.extend_from_slice(&crc32(&body).to_le_bytes());
-            f.write_all(&header).map_err(StorageError::Io)?;
-            f.write_all(&body).map_err(StorageError::Io)?;
-            f.sync_data().map_err(StorageError::Io)?;
-        }
-        self.vfs.rename(&tmp, path).map_err(StorageError::Io)?;
-        Ok(())
-    }
-}
-
-/// The error surfaced when a mutation reaches a shard whose journal was
-/// disabled by an earlier failed group commit.
-fn journal_unavailable() -> SseError {
-    SseError::Storage(StorageError::Io(std::io::Error::other(
-        "shard journal disabled by failed group commit",
-    )))
-}
-
-/// Append one generation entry to the shard tree.
-fn append_entry(tree: &mut BpTree<[u8; 32], GenerationList>, entry: GenerationEntry) {
-    let GenerationEntry {
-        tag,
-        sealed_ids,
-        commitment,
-    } = entry;
-    let generation = Generation {
-        masked_ids: sealed_ids,
-        key_commitment: commitment,
-    };
-    match tree.get_mut(&tag) {
-        Some(list) => list.push(generation),
-        None => {
-            let mut list = GenerationList::new();
-            list.push(generation);
-            tree.insert(tag, list);
-        }
-    }
-}
-
-/// Re-apply one journaled shard-local mutation during recovery (no
-/// re-journaling), recording the touched tags into `dirty` / `cleared` so
-/// an lsm-backed server can flush the replayed state at its next
-/// checkpoint.
-fn replay_into(
-    tree: &mut BpTree<[u8; 32], GenerationList>,
-    raw: &[u8],
-    dirty: &mut HashSet<[u8; 32]>,
-    cleared: &mut bool,
-) -> Result<()> {
-    match protocol::decode_request(raw)? {
-        Request::AppendGenerations(entries) => {
-            for entry in entries {
-                dirty.insert(entry.tag);
-                append_entry(tree, entry);
-            }
-            Ok(())
-        }
-        Request::ResetIndex => {
-            dirty.clear();
-            *cleared = true;
-            *tree = BpTree::new();
-            Ok(())
-        }
-        _ => Err(SseError::Storage(StorageError::Corrupt {
-            what: "scheme2 index journal",
-            detail: "journal holds a non-mutating request".to_string(),
-        })),
-    }
-}
-
-/// Flush one lsm-backed shard: clear if the shard was reset, write every
-/// dirty tag's current generation list (or a tombstone if it vanished),
-/// then commit one run carrying `applied_seq`. No-op for btree shards.
-fn flush_shard_kw_map(data: &mut ShardData) -> Result<()> {
-    let ShardData {
-        tree,
-        applied_seq,
-        dirty,
-        cleared,
-        kw_map,
-    } = data;
-    let Some(map) = kw_map else { return Ok(()) };
-    if *cleared {
-        map.clear()?;
-    }
-    for tag in dirty.iter() {
-        match tree.get(tag) {
-            Some(list) => map.put(*tag, encode_generation_list(list))?,
-            None => map.delete(tag)?,
-        }
-    }
-    map.flush(*applied_seq, &[])?;
-    dirty.clear();
-    *cleared = false;
-    Ok(())
-}
-
-/// Serialize one generation list as a keyword-map value: the per-tag body
-/// of the monolithic snapshot format, minus the tag itself.
-fn encode_generation_list(list: &GenerationList) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u64(list.len() as u64);
-    for generation in list.iter() {
-        w.put_bytes(&generation.masked_ids);
-        w.put_array(&generation.key_commitment);
-    }
-    w.finish()
-}
-
-/// Inverse of [`encode_generation_list`].
-fn decode_generation_list(bytes: &[u8]) -> Result<GenerationList> {
-    let mut r = WireReader::new(bytes);
-    let gens = r.get_count(40)?;
-    let mut list = GenerationList::new();
-    for _ in 0..gens {
-        let masked_ids = r.get_bytes()?.to_vec();
-        let key_commitment = r.get_array32()?;
-        list.push(Generation {
-            masked_ids,
-            key_commitment,
+            unchanged
         });
     }
-    r.finish()?;
-    Ok(list)
-}
-
-/// Checksum-check one index snapshot without decoding it (scrub path).
-/// Returns `Ok(false)` if the snapshot does not exist (a tenant that has
-/// never checkpointed), `Ok(true)` if it verified.
-fn verify_index_snapshot(vfs: &dyn Vfs, path: &Path) -> Result<bool> {
-    let bytes = match vfs.read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(SseError::Storage(StorageError::Io(e))),
-    };
-    if bytes.len() < 12 || &bytes[..8] != INDEX_MAGIC {
-        return Err(SseError::Storage(StorageError::Corrupt {
-            what: "index snapshot",
-            detail: format!("scrub: bad magic or truncated in {}", path.display()),
-        }));
-    }
-    let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if crc32(&bytes[12..]) != stored_crc {
-        return Err(SseError::Storage(StorageError::Corrupt {
-            what: "index snapshot",
-            detail: format!("scrub: checksum mismatch in {}", path.display()),
-        }));
-    }
-    Ok(true)
-}
-
-/// Decode one shard snapshot into `tree`, returning the `last_op_seq` it
-/// covers.
-fn load_shard_snapshot(tree: &mut BpTree<[u8; 32], GenerationList>, bytes: &[u8]) -> Result<u64> {
-    if bytes.len() < 12 || &bytes[..8] != INDEX_MAGIC {
-        return Err(SseError::Storage(StorageError::Corrupt {
-            what: "scheme2 index snapshot",
-            detail: "bad magic or truncated".to_string(),
-        }));
-    }
-    let stored_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let body = &bytes[12..];
-    if crc32(body) != stored_crc {
-        return Err(SseError::Storage(StorageError::Corrupt {
-            what: "scheme2 index snapshot",
-            detail: "checksum mismatch".to_string(),
-        }));
-    }
-    let mut r = WireReader::new(body);
-    let last_op_seq = r.get_u64()?;
-    let n = r.get_count(40)?;
-    let mut fresh = BpTree::new();
-    for _ in 0..n {
-        let tag = r.get_array32()?;
-        let gens = r.get_count(40)?;
-        let mut list = GenerationList::new();
-        for _ in 0..gens {
-            let masked_ids = r.get_bytes()?.to_vec();
-            let key_commitment = r.get_array32()?;
-            list.push(Generation {
-                masked_ids,
-                key_commitment,
-            });
-        }
-        fresh.insert(tag, list);
-    }
-    r.finish()?;
-    *tree = fresh;
-    Ok(last_op_seq)
 }
 
 impl Service for Scheme2Server {
@@ -1964,10 +1008,14 @@ mod tests {
         // The same append/search conversation against 1 and 5 shards must
         // be indistinguishable on the wire.
         let mut single = server();
-        let mut sharded = Scheme2Server::new_in_memory_sharded(
+        let mut sharded = Scheme2Server::open(
             Scheme2Config::standard().with_chain_length(64),
-            5,
-        );
+            IndexOptions {
+                shards: 5,
+                ..IndexOptions::default()
+            },
+        )
+        .unwrap();
         assert_eq!(sharded.num_shards(), 5);
         let chain = HashChain::new(&[b"kw", b"key"], 64);
         let docs: Vec<(u64, Vec<u8>)> = (0..8u64).map(|i| (i, vec![i as u8; 4])).collect();
@@ -2030,10 +1078,14 @@ mod tests {
         // Read-your-writes through the snapshot path: an acked append is
         // immediately visible to a search, and the cache write-back
         // republishes so the *next* search decrypts nothing.
-        let s = Scheme2Server::new_in_memory_sharded(
+        let s = Scheme2Server::open(
             Scheme2Config::standard().with_chain_length(64),
-            4,
-        );
+            IndexOptions {
+                shards: 4,
+                ..IndexOptions::default()
+            },
+        )
+        .unwrap();
         let chain = HashChain::new(&[b"kw", b"key"], 64);
         for i in 0..16u8 {
             let mut tag = [0u8; 32];

@@ -8,8 +8,8 @@
 //!
 //! With a data directory the registry becomes **durable**: each
 //! `(tenant, scheme)` database lives under
-//! `data_dir/<encoded-tenant>/s1|s2/`, is opened via
-//! `open_durable_with_vfs` (replaying any WAL left by a crash), is
+//! `data_dir/<encoded-tenant>/s1|s2/`, is opened through the scheme
+//! server's `open` (replaying any WAL left by a crash), is
 //! re-opened eagerly on daemon restart ([`TenantRegistry::preopen_existing`])
 //! and is checkpointed by [`TenantRegistry::checkpoint_all`] on graceful
 //! shutdown. Tenant names are arbitrary UTF-8; directory names use a
@@ -21,8 +21,10 @@ use sse_core::commit::CommitCounters;
 use sse_core::error::SseError;
 use sse_core::health::{HealthState, ScrubFindings, TenantHealth};
 use sse_core::journal::ServerRecovery;
+use sse_core::proto_common;
 use sse_core::scheme1::Scheme1Server;
 use sse_core::scheme2::{Scheme2Config, Scheme2Server};
+use sse_core::sharded::{IndexOps, IndexOptions};
 use sse_net::link::Service;
 use sse_storage::{BackendCounters, BackendKind, RealVfs, Vfs};
 use std::collections::HashMap;
@@ -103,62 +105,59 @@ pub enum TenantDb {
 }
 
 impl TenantDb {
+    /// The scheme-independent operational surface of this database's
+    /// index (checkpoint, recovery, health, repair, verify, counters).
+    #[must_use]
+    pub fn index(&self) -> &dyn IndexOps {
+        match self {
+            TenantDb::S1(s) => &**s,
+            TenantDb::S2(s) => &**s,
+        }
+    }
+
     /// Checkpoint to the database's home directory (no-op for in-memory
     /// tenants, which have no home).
     ///
     /// # Errors
     /// Storage errors from the snapshot write.
     pub fn checkpoint_home(&self) -> Result<(), SseError> {
-        match self {
-            TenantDb::S1(s) => s.checkpoint_home(),
-            TenantDb::S2(s) => s.checkpoint_home(),
-        }
+        self.index().checkpoint_home()
     }
 
     /// What recovery work the open performed.
     #[must_use]
     pub fn recovery(&self) -> ServerRecovery {
-        match self {
-            TenantDb::S1(s) => s.recovery(),
-            TenantDb::S2(s) => s.recovery(),
-        }
+        self.index().recovery()
     }
 
     /// This database's health cell (shared with the scheme server's
     /// mutation error sites and the scrub thread).
     #[must_use]
     pub fn health(&self) -> &Arc<TenantHealth> {
-        match self {
-            TenantDb::S1(s) => s.health(),
-            TenantDb::S2(s) => s.health(),
-        }
+        self.index().health()
     }
 
     /// Repair a degraded database under quiescence: checkpoint the
     /// current applied state and start fresh journals, then probe-promote
-    /// back to `Healthy`. See the scheme servers' `repair` docs.
+    /// back to `Healthy`. See
+    /// [`sse_core::sharded::ShardedIndex::repair`].
     ///
     /// # Errors
     /// Storage errors if the underlying fault persists (the database
     /// stays `Degraded`; the next scrub pass retries).
     pub fn repair(&self) -> Result<(), SseError> {
-        match self {
-            TenantDb::S1(s) => s.repair(),
-            TenantDb::S2(s) => s.repair(),
-        }
+        self.index().repair()
     }
 
     /// Checksum-verify every on-disk artifact of this database (scrub
-    /// integrity pass). See the scheme servers' `verify_files` docs.
+    /// integrity pass). See
+    /// [`sse_core::sharded::ShardedIndex::verify_files`].
     ///
     /// # Errors
     /// `StorageError::Corrupt` on confirmed corruption (the scrub
     /// quarantines); other storage errors are transient.
     pub fn verify_files(&self) -> Result<ScrubFindings, SseError> {
-        match self {
-            TenantDb::S1(s) => s.verify_files(),
-            TenantDb::S2(s) => s.verify_files(),
-        }
+        self.index().verify_files()
     }
 
     /// Whether an envelope request would mutate this database — the
@@ -298,7 +297,8 @@ impl TenantDb {
         // empty slot can only mean its worker died before reporting.
         for slot in &mut responses {
             if slot.is_empty() {
-                *slot = self.scheme_error("internal error: search fan-out worker panicked");
+                *slot =
+                    proto_common::encode_error("internal error: search fan-out worker panicked");
             }
         }
         crate::proto::encode_batch(&responses)
@@ -311,15 +311,9 @@ impl TenantDb {
     /// owner-waits rely on every claimed part reporting a result.
     pub(crate) fn handle_part_caught(&self, part: &[u8]) -> Vec<u8> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle_shared(part)))
-            .unwrap_or_else(|_| self.scheme_error("internal error: search fan-out worker panicked"))
-    }
-
-    /// Encode `msg` as this scheme's wire error response.
-    fn scheme_error(&self, msg: &str) -> Vec<u8> {
-        match self {
-            TenantDb::S1(_) => sse_core::scheme1::protocol::encode_error(msg),
-            TenantDb::S2(_) => sse_core::proto_common::encode_error(msg),
-        }
+            .unwrap_or_else(|_| {
+                proto_common::encode_error("internal error: search fan-out worker panicked")
+            })
     }
 
     /// Search-memo counters (hits, misses, chain steps saved). Scheme 1
@@ -342,38 +336,26 @@ impl TenantDb {
     /// Per-shard contended lock acquisitions.
     #[must_use]
     pub fn shard_contention(&self) -> Vec<u64> {
-        match self {
-            TenantDb::S1(s) => s.shard_contention(),
-            TenantDb::S2(s) => s.shard_contention(),
-        }
+        self.index().shard_contention()
     }
 
     /// Group-commit pipeline counters for this database.
     #[must_use]
     pub fn commit_counters(&self) -> CommitCounters {
-        match self {
-            TenantDb::S1(s) => s.commit_counters(),
-            TenantDb::S2(s) => s.commit_counters(),
-        }
+        self.index().commit_counters()
     }
 
     /// The storage backend persisting this database.
     #[must_use]
     pub fn backend(&self) -> BackendKind {
-        match self {
-            TenantDb::S1(s) => s.backend(),
-            TenantDb::S2(s) => s.backend(),
-        }
+        self.index().backend()
     }
 
     /// Per-backend storage counters (runs, compactions, bloom hit rates;
     /// all zero under the btree backend).
     #[must_use]
     pub fn backend_counters(&self) -> BackendCounters {
-        match self {
-            TenantDb::S1(s) => s.backend_counters(),
-            TenantDb::S2(s) => s.backend_counters(),
-        }
+        self.index().backend_counters()
     }
 }
 
@@ -383,10 +365,9 @@ impl Service for TenantDb {
     }
 
     fn on_shutdown(&mut self) {
-        match self {
-            TenantDb::S1(s) => s.on_shutdown(),
-            TenantDb::S2(s) => s.on_shutdown(),
-        }
+        // Best effort, as the scheme servers' own shutdown hooks: recovery
+        // replays the logs anyway.
+        let _ = self.checkpoint_home();
     }
 }
 
@@ -496,42 +477,30 @@ impl TenantRegistry {
     }
 
     fn open_tenant(&self, tenant: &str, scheme: SchemeId) -> Result<TenantDb, SseError> {
-        let shards = self.params.shards.max(1);
-        match &self.data_dir {
-            None => Ok(match scheme {
-                SchemeId::Scheme1 => TenantDb::S1(Scheme1Server::new_in_memory_sharded(
-                    self.params.scheme1_capacity,
-                    shards,
-                )),
-                SchemeId::Scheme2 => TenantDb::S2(Scheme2Server::new_in_memory_sharded(
-                    Scheme2Config::standard().with_chain_length(self.params.scheme2_chain_length),
-                    shards,
-                )),
-            }),
+        let dir = match &self.data_dir {
             Some(root) => {
                 let dir = tenant_dir(root, tenant, scheme);
                 self.vfs.create_dir_all(&dir)?;
-                Ok(match scheme {
-                    SchemeId::Scheme1 => TenantDb::S1(Scheme1Server::open_durable_with_backend(
-                        Arc::clone(&self.vfs),
-                        self.params.scheme1_capacity,
-                        &dir,
-                        shards,
-                        self.params.group_commit,
-                        self.params.backend,
-                    )?),
-                    SchemeId::Scheme2 => TenantDb::S2(Scheme2Server::open_durable_with_backend(
-                        Arc::clone(&self.vfs),
-                        Scheme2Config::standard()
-                            .with_chain_length(self.params.scheme2_chain_length),
-                        &dir,
-                        shards,
-                        self.params.group_commit,
-                        self.params.backend,
-                    )?),
-                })
+                Some(dir)
             }
-        }
+            None => None,
+        };
+        let opts = IndexOptions {
+            vfs: Arc::clone(&self.vfs),
+            dir,
+            shards: self.params.shards.max(1),
+            backend: self.params.backend,
+            group_commit: self.params.group_commit,
+        };
+        Ok(match scheme {
+            SchemeId::Scheme1 => {
+                TenantDb::S1(Scheme1Server::open(self.params.scheme1_capacity, opts)?)
+            }
+            SchemeId::Scheme2 => TenantDb::S2(Scheme2Server::open(
+                Scheme2Config::standard().with_chain_length(self.params.scheme2_chain_length),
+                opts,
+            )?),
+        })
     }
 
     fn note_recovery(&self, recovery: &ServerRecovery) {

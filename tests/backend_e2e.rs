@@ -12,6 +12,7 @@
 
 use sse_repro::core::scheme1::{Scheme1Client, Scheme1Config, Scheme1Server};
 use sse_repro::core::scheme2::{Scheme2Client, Scheme2Config, Scheme2Server};
+use sse_repro::core::sharded::IndexOptions;
 use sse_repro::core::types::{Document, Keyword, MasterKey};
 use sse_repro::net::link::MeteredLink;
 use sse_repro::net::meter::Meter;
@@ -74,13 +75,13 @@ fn durable_directory_refuses_the_other_backend() {
         // Scheme 1: write real data under `written`, reopen as `requested`.
         let dir = temp_dir(&format!("s1-mismatch-{written}-{requested}"));
         {
-            let server = Scheme1Server::open_durable_with_backend(
-                RealVfs::arc(),
+            let server = Scheme1Server::open(
                 CAPACITY,
-                &dir,
-                1,
-                true,
-                written,
+                IndexOptions {
+                    vfs: RealVfs::arc(),
+                    backend: written,
+                    ..IndexOptions::durable(&dir)
+                },
             )
             .unwrap();
             let mut client = Scheme1Client::new_seeded(
@@ -91,13 +92,13 @@ fn durable_directory_refuses_the_other_backend() {
             );
             client.store(&docs()).unwrap();
         }
-        let err = match Scheme1Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let err = match Scheme1Server::open(
             CAPACITY,
-            &dir,
-            1,
-            true,
-            requested,
+            IndexOptions {
+                vfs: RealVfs::arc(),
+                backend: requested,
+                ..IndexOptions::durable(&dir)
+            },
         ) {
             Ok(_) => panic!("scheme 1 reopen under the wrong backend must fail"),
             Err(e) => e.to_string(),
@@ -108,13 +109,13 @@ fn durable_directory_refuses_the_other_backend() {
         // Scheme 2: same contract.
         let dir = temp_dir(&format!("s2-mismatch-{written}-{requested}"));
         {
-            let server = Scheme2Server::open_durable_with_backend(
-                RealVfs::arc(),
+            let server = Scheme2Server::open(
                 Scheme2Config::standard(),
-                &dir,
-                1,
-                true,
-                written,
+                IndexOptions {
+                    vfs: RealVfs::arc(),
+                    backend: written,
+                    ..IndexOptions::durable(&dir)
+                },
             )
             .unwrap();
             let mut client = Scheme2Client::new_seeded(
@@ -125,13 +126,13 @@ fn durable_directory_refuses_the_other_backend() {
             );
             client.store(&docs()).unwrap();
         }
-        let err = match Scheme2Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let err = match Scheme2Server::open(
             Scheme2Config::standard(),
-            &dir,
-            1,
-            true,
-            requested,
+            IndexOptions {
+                vfs: RealVfs::arc(),
+                backend: requested,
+                ..IndexOptions::durable(&dir)
+            },
         ) {
             Ok(_) => panic!("scheme 2 reopen under the wrong backend must fail"),
             Err(e) => e.to_string(),
@@ -149,13 +150,13 @@ fn reopening_under_the_recorded_backend_recovers_the_data() {
         let dir = temp_dir(&format!("s2-recorded-{backend}"));
         let key = MasterKey::from_seed(11);
         let state = {
-            let server = Scheme2Server::open_durable_with_backend(
-                RealVfs::arc(),
+            let server = Scheme2Server::open(
                 Scheme2Config::standard(),
-                &dir,
-                1,
-                true,
-                backend,
+                IndexOptions {
+                    vfs: RealVfs::arc(),
+                    backend,
+                    ..IndexOptions::durable(&dir)
+                },
             )
             .unwrap();
             let mut client = Scheme2Client::new_seeded(
@@ -167,13 +168,13 @@ fn reopening_under_the_recorded_backend_recovers_the_data() {
             client.store(&docs()).unwrap();
             client.state()
         };
-        let server = Scheme2Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let server = Scheme2Server::open(
             Scheme2Config::standard(),
-            &dir,
-            1,
-            true,
-            backend,
+            IndexOptions {
+                vfs: RealVfs::arc(),
+                backend,
+                ..IndexOptions::durable(&dir)
+            },
         )
         .unwrap();
         let mut client = Scheme2Client::new_seeded(

@@ -31,6 +31,7 @@
 use sse_repro::core::health::HealthState;
 use sse_repro::core::scheme1::{Scheme1Client, Scheme1Config, Scheme1Server};
 use sse_repro::core::scheme2::{Scheme2Client, Scheme2ClientState, Scheme2Config, Scheme2Server};
+use sse_repro::core::sharded::IndexOptions;
 use sse_repro::core::types::{Document, Keyword, MasterKey, SearchHits};
 use sse_repro::net::link::MeteredLink;
 use sse_repro::net::meter::Meter;
@@ -264,13 +265,14 @@ fn scheme1_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
     let counting = FaultVfs::counting();
     let stats = counting.stats();
     {
-        let server = Scheme1Server::open_durable_with_backend(
-            Arc::new(counting),
+        let server = Scheme1Server::open(
             CAPACITY,
-            &count_dir,
-            SWEEP_SHARDS,
-            true,
-            backend,
+            IndexOptions {
+                vfs: Arc::new(counting),
+                shards: SWEEP_SHARDS,
+                backend,
+                ..IndexOptions::durable(&count_dir)
+            },
         )
         .unwrap();
         let mut client = Scheme1Client::new_seeded(
@@ -291,13 +293,14 @@ fn scheme1_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
         let ctx = format!("{point:?} ({backend} backend)");
         let dir = temp_dir("s1-sweep");
         let vfs = FaultVfs::new(RealVfs::arc(), point.config(seed));
-        let Ok(server) = Scheme1Server::open_durable_with_backend(
-            Arc::new(vfs),
+        let Ok(server) = Scheme1Server::open(
             CAPACITY,
-            &dir,
-            SWEEP_SHARDS,
-            true,
-            backend,
+            IndexOptions {
+                vfs: Arc::new(vfs),
+                shards: SWEEP_SHARDS,
+                backend,
+                ..IndexOptions::durable(&dir)
+            },
         ) else {
             // The fault landed inside the initial open; the "process"
             // never came up. Degradation starts from a live server only.
@@ -368,13 +371,14 @@ fn scheme1_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
 
         // Restart differential: reopen through the real filesystem — the
         // degradation episode must not have cost a single acked write.
-        let server = Scheme1Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let server = Scheme1Server::open(
             CAPACITY,
-            &dir,
-            SWEEP_SHARDS,
-            true,
-            backend,
+            IndexOptions {
+                vfs: RealVfs::arc(),
+                shards: SWEEP_SHARDS,
+                backend,
+                ..IndexOptions::durable(&dir)
+            },
         )
         .unwrap();
         let mut probe = Scheme1Client::new_seeded(
@@ -409,13 +413,14 @@ fn scheme2_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
     let counting = FaultVfs::counting();
     let stats = counting.stats();
     {
-        let server = Scheme2Server::open_durable_with_backend(
-            Arc::new(counting),
+        let server = Scheme2Server::open(
             config.clone(),
-            &count_dir,
-            SWEEP_SHARDS,
-            true,
-            backend,
+            IndexOptions {
+                vfs: Arc::new(counting),
+                shards: SWEEP_SHARDS,
+                backend,
+                ..IndexOptions::durable(&count_dir)
+            },
         )
         .unwrap();
         let mut client = Scheme2Client::new_seeded(
@@ -436,13 +441,14 @@ fn scheme2_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
         let ctx = format!("{point:?} ({backend} backend)");
         let dir = temp_dir("s2-sweep");
         let vfs = FaultVfs::new(RealVfs::arc(), point.config(seed));
-        let Ok(server) = Scheme2Server::open_durable_with_backend(
-            Arc::new(vfs),
+        let Ok(server) = Scheme2Server::open(
             config.clone(),
-            &dir,
-            SWEEP_SHARDS,
-            true,
-            backend,
+            IndexOptions {
+                vfs: Arc::new(vfs),
+                shards: SWEEP_SHARDS,
+                backend,
+                ..IndexOptions::durable(&dir)
+            },
         ) else {
             let _ = std::fs::remove_dir_all(&dir);
             continue;
@@ -512,13 +518,14 @@ fn scheme2_degradation_sweep(trace: &[Op], seed: u64, backend: BackendKind) {
         );
         drop(client);
 
-        let server = Scheme2Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let server = Scheme2Server::open(
             config.clone(),
-            &dir,
-            SWEEP_SHARDS,
-            true,
-            backend,
+            IndexOptions {
+                vfs: RealVfs::arc(),
+                shards: SWEEP_SHARDS,
+                backend,
+                ..IndexOptions::durable(&dir)
+            },
         )
         .unwrap();
         let mut probe = Scheme2Client::new_seeded(

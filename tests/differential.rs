@@ -17,6 +17,7 @@ use sse_baselines::naive::NaiveClient;
 use sse_core::scheme::SseClientApi;
 use sse_core::scheme1::{Scheme1Client, Scheme1Config, Scheme1Server};
 use sse_core::scheme2::{Scheme2Client, Scheme2ClientState, Scheme2Config, Scheme2Server};
+use sse_core::sharded::IndexOptions;
 use sse_core::types::{Document, Keyword, MasterKey, SearchHits};
 use sse_net::link::MeteredLink;
 use sse_net::meter::Meter;
@@ -192,7 +193,14 @@ impl Backend for S2 {
 }
 
 fn scheme1_backend(seed: u64, shards: usize) -> S1 {
-    let server = Scheme1Server::new_in_memory_sharded(CAPACITY, shards);
+    let server = Scheme1Server::open(
+        CAPACITY,
+        IndexOptions {
+            shards,
+            ..IndexOptions::default()
+        },
+    )
+    .unwrap();
     let link = MeteredLink::new(server, Meter::new());
     S1(Scheme1Client::new_seeded(
         link,
@@ -204,7 +212,14 @@ fn scheme1_backend(seed: u64, shards: usize) -> S1 {
 
 fn scheme2_backend(seed: u64, shards: usize) -> S2 {
     let config = Scheme2Config::standard();
-    let server = Scheme2Server::new_in_memory_sharded(config.clone(), shards);
+    let server = Scheme2Server::open(
+        config.clone(),
+        IndexOptions {
+            shards,
+            ..IndexOptions::default()
+        },
+    )
+    .unwrap();
     let link = MeteredLink::new(server, Meter::new());
     S2(Scheme2Client::new_seeded(
         link,
@@ -346,14 +361,26 @@ fn scheme2_warm_vs_cold(seed: u64, shards: usize) {
     let key = MasterKey::from_seed(seed);
     let cold_cfg = Scheme2Config::standard().with_server_cache(false);
     let warm_cfg = Scheme2Config::standard();
-    let cold_srv = Arc::new(Scheme2Server::new_in_memory_sharded(
-        cold_cfg.clone(),
-        shards,
-    ));
-    let warm_srv = Arc::new(Scheme2Server::new_in_memory_sharded(
-        warm_cfg.clone(),
-        shards,
-    ));
+    let cold_srv = Arc::new(
+        Scheme2Server::open(
+            cold_cfg.clone(),
+            IndexOptions {
+                shards,
+                ..IndexOptions::default()
+            },
+        )
+        .unwrap(),
+    );
+    let warm_srv = Arc::new(
+        Scheme2Server::open(
+            warm_cfg.clone(),
+            IndexOptions {
+                shards,
+                ..IndexOptions::default()
+            },
+        )
+        .unwrap(),
+    );
     let mut cold = Scheme2Client::new_seeded(
         SharedLink(cold_srv.clone()),
         key.clone(),
@@ -572,13 +599,14 @@ fn scheme1_durable_replay(seed: u64, backend: BackendKind, ops: &[Op]) -> Vec<Se
     let key = MasterKey::from_seed(seed);
     let mut results = Vec::new();
     for (i, segment) in segments(ops).into_iter().enumerate() {
-        let server = Scheme1Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let server = Scheme1Server::open(
             CAPACITY,
-            &dir,
-            DURABLE_SHARDS,
-            true,
-            backend,
+            IndexOptions {
+                vfs: RealVfs::arc(),
+                shards: DURABLE_SHARDS,
+                backend,
+                ..IndexOptions::durable(&dir)
+            },
         )
         .unwrap();
         if i == 1 {
@@ -621,13 +649,14 @@ fn scheme2_durable_replay(seed: u64, backend: BackendKind, ops: &[Op]) -> Vec<Se
     let mut results = Vec::new();
     let mut state: Option<Scheme2ClientState> = None;
     for (i, segment) in segments(ops).into_iter().enumerate() {
-        let server = Scheme2Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let server = Scheme2Server::open(
             config.clone(),
-            &dir,
-            DURABLE_SHARDS,
-            true,
-            backend,
+            IndexOptions {
+                vfs: RealVfs::arc(),
+                shards: DURABLE_SHARDS,
+                backend,
+                ..IndexOptions::durable(&dir)
+            },
         )
         .unwrap();
         if i == 1 {

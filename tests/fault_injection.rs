@@ -31,6 +31,7 @@
 
 use sse_repro::core::scheme1::{Scheme1Client, Scheme1Config, Scheme1Server};
 use sse_repro::core::scheme2::{Scheme2Client, Scheme2ClientState, Scheme2Config, Scheme2Server};
+use sse_repro::core::sharded::IndexOptions;
 use sse_repro::core::types::{Document, Keyword, MasterKey, SearchHits};
 use sse_repro::net::fault::{FaultyLink, NetFaultConfig};
 use sse_repro::net::link::{MeteredLink, Transport};
@@ -296,13 +297,14 @@ fn scheme1_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
     let counting = FaultVfs::counting();
     let stats = counting.stats();
     {
-        let server = Scheme1Server::open_durable_with_backend(
-            Arc::new(counting),
+        let server = Scheme1Server::open(
             CAPACITY,
-            &count_dir,
-            shards,
-            true,
-            backend,
+            IndexOptions {
+                vfs: Arc::new(counting),
+                shards,
+                backend,
+                ..IndexOptions::durable(&count_dir)
+            },
         )
         .unwrap();
         let mut client = Scheme1Client::new_seeded(
@@ -332,13 +334,14 @@ fn scheme1_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
         let vfs = FaultVfs::crashing_at(seed, k);
         // Drive until the crash kills the "process": the first error ends
         // the run, exactly like a real crash ends a real process.
-        let completed = match Scheme1Server::open_durable_with_backend(
-            Arc::new(vfs),
+        let completed = match Scheme1Server::open(
             CAPACITY,
-            &dir,
-            shards,
-            true,
-            backend,
+            IndexOptions {
+                vfs: Arc::new(vfs),
+                shards,
+                backend,
+                ..IndexOptions::durable(&dir)
+            },
         ) {
             Err(_) => 0,
             Ok(server) => {
@@ -363,13 +366,14 @@ fn scheme1_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
         // filesystem, as a restart would. The shard manifest (not the
         // caller) dictates the shard count on reopen; the backend manifest
         // likewise pins the backend the restart must request.
-        let server = Scheme1Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let server = Scheme1Server::open(
             CAPACITY,
-            &dir,
-            shards,
-            true,
-            backend,
+            IndexOptions {
+                vfs: RealVfs::arc(),
+                shards,
+                backend,
+                ..IndexOptions::durable(&dir)
+            },
         )
         .unwrap();
         if server.recovery().recovered_anything() {
@@ -461,13 +465,14 @@ fn scheme2_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
     let counting = FaultVfs::counting();
     let stats = counting.stats();
     {
-        let server = Scheme2Server::open_durable_with_backend(
-            Arc::new(counting),
+        let server = Scheme2Server::open(
             config.clone(),
-            &count_dir,
-            shards,
-            true,
-            backend,
+            IndexOptions {
+                vfs: Arc::new(counting),
+                shards,
+                backend,
+                ..IndexOptions::durable(&count_dir)
+            },
         )
         .unwrap();
         let mut client = Scheme2Client::new_seeded(
@@ -494,13 +499,14 @@ fn scheme2_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
     for k in 1..=write_points {
         let dir = temp_dir("s2-crash");
         let vfs = FaultVfs::crashing_at(seed, k);
-        let (completed, attempted_updates) = match Scheme2Server::open_durable_with_backend(
-            Arc::new(vfs),
+        let (completed, attempted_updates) = match Scheme2Server::open(
             config.clone(),
-            &dir,
-            shards,
-            true,
-            backend,
+            IndexOptions {
+                vfs: Arc::new(vfs),
+                shards,
+                backend,
+                ..IndexOptions::durable(&dir)
+            },
         ) {
             Err(_) => (0, 0),
             Ok(server) => {
@@ -528,13 +534,14 @@ fn scheme2_crash_sweep(trace: &[Op], seed: u64, shards: usize, backend: BackendK
             }
         };
 
-        let server = Scheme2Server::open_durable_with_backend(
-            RealVfs::arc(),
+        let server = Scheme2Server::open(
             config.clone(),
-            &dir,
-            shards,
-            true,
-            backend,
+            IndexOptions {
+                vfs: RealVfs::arc(),
+                shards,
+                backend,
+                ..IndexOptions::durable(&dir)
+            },
         )
         .unwrap();
         if server.recovery().recovered_anything() {
@@ -637,7 +644,14 @@ fn scheme1_network_sweep(trace: &[Op], seed: u64, shards: usize) {
     let config = Scheme1Config::fast_profile(CAPACITY);
     let key = MasterKey::from_seed(seed ^ 0x61);
 
-    let server = Scheme1Server::new_in_memory_sharded(CAPACITY, shards);
+    let server = Scheme1Server::open(
+        CAPACITY,
+        IndexOptions {
+            shards,
+            ..IndexOptions::default()
+        },
+    )
+    .unwrap();
     let link = FaultyLink::new(
         MeteredLink::new(server, Meter::new()),
         torture_net_config(seed),
@@ -702,7 +716,14 @@ fn scheme2_network_sweep(trace: &[Op], seed: u64, shards: usize) {
     let config = Scheme2Config::base(512);
     let key = MasterKey::from_seed(seed ^ 0x62);
 
-    let server = Scheme2Server::new_in_memory_sharded(config.clone(), shards);
+    let server = Scheme2Server::open(
+        config.clone(),
+        IndexOptions {
+            shards,
+            ..IndexOptions::default()
+        },
+    )
+    .unwrap();
     let link = FaultyLink::new(
         MeteredLink::new(server, Meter::new()),
         torture_net_config(seed ^ 0x9999),
@@ -876,13 +897,13 @@ fn scheme2_mid_group_crash_sweep(at_sync: bool, seed: u64, backend: BackendKind)
         let vfs = group_crash_vfs(at_sync, seed ^ n, n);
         // acked[w] = stores writer w saw succeed (always a prefix: the
         // first error ends the writer, like a crash ends a process).
-        let acked: Vec<usize> = match Scheme2Server::open_durable_with_backend(
-            Arc::new(vfs),
+        let acked: Vec<usize> = match Scheme2Server::open(
             config.clone(),
-            &dir,
-            1,
-            true,
-            backend,
+            IndexOptions {
+                vfs: Arc::new(vfs),
+                backend,
+                ..IndexOptions::durable(&dir)
+            },
         ) {
             Err(_) => vec![0; GROUP_WRITERS],
             Ok(server) => {
@@ -920,13 +941,13 @@ fn scheme2_mid_group_crash_sweep(at_sync: bool, seed: u64, backend: BackendKind)
 
         // The crashed process is gone; recover through the real filesystem.
         let server = Arc::new(
-            Scheme2Server::open_durable_with_backend(
-                RealVfs::arc(),
+            Scheme2Server::open(
                 config.clone(),
-                &dir,
-                1,
-                true,
-                backend,
+                IndexOptions {
+                    vfs: RealVfs::arc(),
+                    backend,
+                    ..IndexOptions::durable(&dir)
+                },
             )
             .unwrap(),
         );
@@ -993,13 +1014,13 @@ fn scheme1_mid_group_crash_sweep(at_sync: bool, seed: u64, backend: BackendKind)
     for n in 1..=GROUP_SYNC_POINTS {
         let dir = temp_dir("s1-group-crash");
         let vfs = group_crash_vfs(at_sync, seed ^ n, n);
-        let acked: Vec<usize> = match Scheme1Server::open_durable_with_backend(
-            Arc::new(vfs),
+        let acked: Vec<usize> = match Scheme1Server::open(
             CAPACITY,
-            &dir,
-            1,
-            true,
-            backend,
+            IndexOptions {
+                vfs: Arc::new(vfs),
+                backend,
+                ..IndexOptions::durable(&dir)
+            },
         ) {
             Err(_) => vec![0; GROUP_WRITERS],
             Ok(server) => {
@@ -1037,13 +1058,13 @@ fn scheme1_mid_group_crash_sweep(at_sync: bool, seed: u64, backend: BackendKind)
         }
 
         let server = Arc::new(
-            Scheme1Server::open_durable_with_backend(
-                RealVfs::arc(),
+            Scheme1Server::open(
                 CAPACITY,
-                &dir,
-                1,
-                true,
-                backend,
+                IndexOptions {
+                    vfs: RealVfs::arc(),
+                    backend,
+                    ..IndexOptions::durable(&dir)
+                },
             )
             .unwrap(),
         );
@@ -1124,11 +1145,12 @@ fn scheme2_search_memo_is_purely_in_memory_across_crashes() {
         let stats = counting.stats();
         {
             let server = Arc::new(
-                Scheme2Server::open_durable_with_vfs_sharded(
-                    Arc::new(counting),
+                Scheme2Server::open(
                     config.clone(),
-                    &dir,
-                    1,
+                    IndexOptions {
+                        vfs: Arc::new(counting),
+                        ..IndexOptions::durable(&dir)
+                    },
                 )
                 .unwrap(),
             );
@@ -1173,11 +1195,12 @@ fn scheme2_search_memo_is_purely_in_memory_across_crashes() {
     for k in points {
         let dir = temp_dir("s2-memo-crash");
         let vfs = FaultVfs::crashing_at(seed, k);
-        let (completed, attempted_updates) = match Scheme2Server::open_durable_with_vfs_sharded(
-            Arc::new(vfs),
+        let (completed, attempted_updates) = match Scheme2Server::open(
             cached.clone(),
-            &dir,
-            1,
+            IndexOptions {
+                vfs: Arc::new(vfs),
+                ..IndexOptions::durable(&dir)
+            },
         ) {
             Err(_) => (0, 0),
             Ok(server) => {
