@@ -799,9 +799,15 @@ mod tests {
             delta: vec![0xFF; 3], // wrong width
             f_r: vec![2],
         }]);
-        let resp = s.apply_batch(&[&good, &bad]);
+        let docs = encode_put_docs(&[(5, b"five".to_vec())]);
+        let resp = s.apply_batch(&[&docs, &good, &bad]);
         assert!(decode_ack(&resp).is_err());
         assert_eq!(s.unique_keywords(), 0, "no part of the batch applied");
+        assert_eq!(
+            s.stored_docs(),
+            0,
+            "documents are validated with the updates"
+        );
 
         let resp = s.apply_batch(&[&good]);
         decode_ack(&resp).unwrap();

@@ -803,7 +803,7 @@ const BATCH_ROUNDS: usize = 48;
 #[derive(Clone, Debug)]
 pub struct SearchArm {
     /// Operations measured (searches, or groups/batches of
-    /// [`SEARCH_BATCH`] for the paired arms).
+    /// `SEARCH_BATCH` for the paired arms).
     pub ops: u64,
     /// Exact mean latency (ns).
     pub mean_ns: u64,
@@ -832,7 +832,7 @@ pub struct SearchBenchReport {
     pub cold: SearchArm,
     /// Re-searches of the same keywords: memo hits.
     pub repeat: SearchArm,
-    /// Wall clock of [`SEARCH_BATCH`] sequential single searches.
+    /// Wall clock of `SEARCH_BATCH` sequential single searches.
     pub single_group: SearchArm,
     /// Wall clock of one `SEARCH_MANY` batch of the same size.
     pub batch: SearchArm,
@@ -930,14 +930,14 @@ impl ArmRecorder {
 /// Run the search-path benchmark: one **in-memory** daemon (searches never
 /// touch the journal, and durable corpus loading would dominate the run),
 /// one Scheme 2 client on the base counter policy so every one of the
-/// [`SEARCH_GENERATIONS`] fake updates advances the chain. Three measured
+/// `SEARCH_GENERATIONS` fake updates advances the chain. Three measured
 /// comparisons on the same corpus:
 ///
 /// * **cold** — first search per keyword: the server walks the trapdoor
 ///   through every generation (memo miss);
 /// * **repeat** — the same keywords again: the memo answers from
 ///   `(tag, applied_seq)` without re-walking the chain;
-/// * **single_group vs batch** — [`SEARCH_BATCH`] warm searches issued as
+/// * **single_group vs batch** — `SEARCH_BATCH` warm searches issued as
 ///   sequential rounds vs one `SEARCH_MANY` envelope, measuring the
 ///   fan-out + round-trip amortization win on identical work.
 ///

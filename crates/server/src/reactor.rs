@@ -27,12 +27,12 @@
 //!
 //! **Workers.** CPU-bound scheme work still runs on the worker pool. The
 //! reactor hands jobs over with a [`Responder::Reactor`][crate::daemon]
-//! handle; workers post pre-framed responses to the [`CompletionQueue`]
+//! handle; workers post pre-framed responses to the `CompletionQueue`
 //! and nudge the reactor through the wakeup pipe.
 //!
 //! **Determinism.** Everything is generic over [`Poller`], so the unit
 //! tests drive the exact production state machine with a scripted
-//! [`MockPoller`] — spurious wakeups, out-of-order readiness and stale
+//! [`epoll::MockPoller`] — spurious wakeups, out-of-order readiness and stale
 //! tokens included — without opening a socket.
 
 use crate::daemon::{Job, Responder, Shared};

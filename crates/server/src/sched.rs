@@ -31,7 +31,7 @@
 //! FIFO push, FIFO pop/steal. A spill can interleave *across* queues,
 //! which the proptest below pins down precisely: no-spill ⇒ no reorder.
 //!
-//! The second half of the module is [`SearchFanout`]: `SEARCH_MANY`
+//! The second half of the module is `SearchFanout`: `SEARCH_MANY`
 //! batches used to spawn fresh scoped OS threads per request
 //! ([`crate::tenant::TenantDb::search_batch`]); here the owning worker
 //! publishes a claimable batch and *idle pool workers* help execute its
@@ -201,7 +201,7 @@ impl<T> Scheduler<T> {
         self.shards.len()
     }
 
-    /// The shared counters handle (cloned into [`crate::daemon::Shared`]
+    /// The shared counters handle (cloned into `daemon::Shared`
     /// for the `ADMIN_STATS` overlay).
     #[must_use]
     pub fn counters(&self) -> Arc<SchedCounters> {

@@ -234,7 +234,7 @@ impl TenantDb {
     }
 
     /// Serve a `SEARCH_MANY` batch: fan the parts out across a small
-    /// scoped worker pool (at most [`SEARCH_FANOUT`] participants, the
+    /// scoped worker pool (at most `SEARCH_FANOUT` participants, the
     /// caller included), each part an independent scheme request resolved
     /// against the shard snapshots. Work is claimed by atomic counter so
     /// uneven per-keyword costs balance, and the response batch is
@@ -243,7 +243,7 @@ impl TenantDb {
     /// This is the legacy spawn-per-batch path, kept for callers outside
     /// the daemon worker pool (thread-per-connection mode has no pool to
     /// draw helpers from). The daemon routes `SEARCH_MANY` through the
-    /// spawn-free [`crate::sched::SearchFanout`] executor instead.
+    /// spawn-free `sched::SearchFanout` executor instead.
     #[must_use]
     pub fn search_batch(&self, parts: &[&[u8]]) -> Vec<u8> {
         let mut responses: Vec<Vec<u8>> = vec![Vec::new(); parts.len()];

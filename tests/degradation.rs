@@ -29,7 +29,9 @@
 //! the schedules.
 
 use sse_repro::core::health::HealthState;
+use sse_repro::core::proto_common::decode_ack;
 use sse_repro::core::scheme1::{Scheme1Client, Scheme1Config, Scheme1Server};
+use sse_repro::core::scheme2::protocol as scheme2_protocol;
 use sse_repro::core::scheme2::{Scheme2Client, Scheme2ClientState, Scheme2Config, Scheme2Server};
 use sse_repro::core::sharded::IndexOptions;
 use sse_repro::core::types::{Document, Keyword, MasterKey, SearchHits};
@@ -839,5 +841,64 @@ fn scheme2_enospc_and_failed_fsync_at_every_commit_point_degrade_and_recover() {
     let seed = fault_seed();
     for backend in fault_backends() {
         scheme2_degradation_sweep(&build_trace(seed), seed, backend);
+    }
+}
+
+/// Open a durable 1-shard Scheme 2 server over `vfs` and store docs 1–2.
+fn scheme2_with_two_docs(
+    vfs: FaultVfs,
+    dir: &std::path::Path,
+    backend: BackendKind,
+) -> Scheme2Server {
+    let server = Scheme2Server::open(
+        Scheme2Config::base(64),
+        IndexOptions {
+            vfs: Arc::new(vfs),
+            backend,
+            ..IndexOptions::durable(dir)
+        },
+    )
+    .unwrap();
+    let docs = [(1, doc_data(1)), (2, doc_data(2))];
+    decode_ack(&server.handle_shared(&scheme2_protocol::encode_put_docs(&docs))).unwrap();
+    server
+}
+
+/// A `RemoveDocs` whose document-WAL append hits a full disk must answer
+/// with an error and degrade the tenant — never acknowledge a delete that
+/// was not logged. Deleting an unknown id stays a no-op acknowledgement.
+#[test]
+fn scheme2_remove_docs_on_a_full_disk_errors_and_degrades() {
+    for backend in fault_backends() {
+        // Pass 1: the delete's first write point follows the setup's.
+        let dir = temp_dir("s2-remove-count");
+        let counting = FaultVfs::counting();
+        let stats = counting.stats();
+        let server = scheme2_with_two_docs(counting, &dir, backend);
+        let setup_writes = stats.writes();
+        decode_ack(&server.handle_shared(&scheme2_protocol::encode_remove_docs(&[1]))).unwrap();
+        assert!(stats.writes() > setup_writes, "a delete writes the doc WAL");
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Pass 2: park a one-write ENOSPC window on that write point.
+        let dir = temp_dir("s2-remove");
+        let vfs = FaultVfs::enospc_window(fault_seed(), setup_writes + 1, 1);
+        let server = scheme2_with_two_docs(vfs, &dir, backend);
+        let resp = server.handle_shared(&scheme2_protocol::encode_remove_docs(&[1]));
+        assert!(
+            decode_ack(&resp).is_err(),
+            "{backend}: unlogged delete acked"
+        );
+        assert_eq!(server.health().state(), HealthState::Degraded, "{backend}");
+        assert_eq!(server.stored_docs(), 2, "{backend}: failed delete applied");
+
+        server.repair().unwrap();
+        assert_eq!(server.health().state(), HealthState::Healthy, "{backend}");
+        let resp = server.handle_shared(&scheme2_protocol::encode_remove_docs(&[1, 99]));
+        decode_ack(&resp).unwrap();
+        assert_eq!(server.stored_docs(), 1, "{backend}");
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
