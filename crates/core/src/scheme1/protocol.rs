@@ -5,7 +5,7 @@
 //! [`sse_net::wire`] codec; the server treats every field as untrusted.
 
 use crate::error::{Result, SseError};
-use crate::proto_common::expect_tag;
+use crate::proto_common::{self, expect_tag};
 use sse_net::wire::{WireReader, WireWriter};
 
 /// Request tag bytes (client → server).
@@ -62,10 +62,8 @@ pub struct UpdateEntry {
 #[must_use]
 pub fn encode_put_docs(docs: &[(u64, Vec<u8>)]) -> Vec<u8> {
     let mut w = WireWriter::new();
-    w.put_u8(REQ_TAGS::PUT_DOCS).put_u64(docs.len() as u64);
-    for (id, blob) in docs {
-        w.put_u64(*id).put_bytes(blob);
-    }
+    w.put_u8(REQ_TAGS::PUT_DOCS);
+    proto_common::put_docs_body(&mut w, docs);
     w.finish()
 }
 
@@ -300,16 +298,7 @@ pub fn decode_request(buf: &[u8]) -> Result<Request> {
     let mut r = WireReader::new(buf);
     let tag = r.get_u8()?;
     let req = match tag {
-        REQ_TAGS::PUT_DOCS => {
-            let n = r.get_count(16)?;
-            let mut docs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = r.get_u64()?;
-                let blob = r.get_bytes()?.to_vec();
-                docs.push((id, blob));
-            }
-            Request::PutDocs(docs)
-        }
+        REQ_TAGS::PUT_DOCS => Request::PutDocs(proto_common::decode_put_docs_body(&mut r)?),
         REQ_TAGS::GET_NONCES => {
             let n = r.get_count(32)?;
             let mut tags = Vec::with_capacity(n);

@@ -432,7 +432,10 @@ impl Scheme1Server {
     fn handle_request(&self, req: Request) -> Vec<u8> {
         match req {
             Request::PutDocs(docs) => {
-                if let Err(msg) = check_doc_ids(&self.index.meta(), &docs) {
+                // Held across the store so a concurrent `ReplaceIndex`
+                // cannot shrink the capacity under a checked id.
+                let geometry = self.index.meta();
+                if let Err(msg) = check_doc_ids(&geometry, &docs) {
                     return proto_common::encode_error(&msg);
                 }
                 match self.put_docs(&docs) {

@@ -231,6 +231,23 @@ struct ShardSlot<E: SchemeEntry> {
     contention: AtomicU64,
 }
 
+impl<E: SchemeEntry> ShardSlot<E> {
+    /// A slot publishing `data` as its first snapshot.
+    fn new(data: ShardData<E>, committer: GroupCommitter, meta: &E::Meta) -> Self {
+        ShardSlot {
+            snap: RwLock::new(Arc::new(Snapshot {
+                tree: data.tree.clone(),
+                applied_seq: data.applied_seq,
+                meta: meta.clone(),
+            })),
+            data: Mutex::new(data),
+            applied: Condvar::new(),
+            committer,
+            contention: AtomicU64::new(0),
+        }
+    }
+}
+
 /// N keyword-index shards plus the document store, behind one barrier.
 /// See the module docs.
 pub struct ShardedIndex<E: SchemeEntry> {
@@ -278,24 +295,23 @@ impl<E: SchemeEntry> ShardedIndex<E> {
     #[must_use]
     pub(crate) fn in_memory(meta: E::Meta, shards: usize) -> Self {
         let commit_stats = Arc::new(CommitStats::default());
-        let slots = (0..shards.max(1))
-            .map(|_| {
-                (
-                    ShardData::new(None),
-                    GroupCommitter::new_in_memory(Arc::clone(&commit_stats)),
-                )
-            })
-            .collect();
-        Self::assemble(
-            meta,
-            slots,
+        ShardedIndex {
+            shards: (0..shards.max(1))
+                .map(|_| {
+                    let committer = GroupCommitter::new_in_memory(Arc::clone(&commit_stats));
+                    ShardSlot::new(ShardData::new(None), committer, &meta)
+                })
+                .collect(),
+            meta: RwLock::new(meta),
+            epoch: AtomicU64::new(0),
             commit_stats,
-            Box::new(DocStore::in_memory()),
-            BackendKind::Btree,
-            None,
-            RealVfs::arc(),
-            ServerRecovery::default(),
-        )
+            store: RwLock::new(Box::new(DocStore::in_memory())),
+            backend: BackendKind::Btree,
+            dir: None,
+            vfs: RealVfs::arc(),
+            recovery: ServerRecovery::default(),
+            health: Arc::new(TenantHealth::new()),
+        }
     }
 
     /// Open an index as `opts` describe: in memory, or from its durable
@@ -393,72 +409,34 @@ impl<E: SchemeEntry> ShardedIndex<E> {
             }
         }
         let commit_stats = Arc::new(CommitStats::default());
-        let slots = datas
+        let shards = datas
             .into_iter()
             .zip(journals)
             .map(|(mut data, journal)| {
                 data.applied_seq = journal.last_seq();
                 let committer =
                     GroupCommitter::new_durable(journal, group_commit, Arc::clone(&commit_stats));
-                (data, committer)
+                ShardSlot::new(data, committer, &meta)
             })
             .collect();
-        let recovery = ServerRecovery {
-            index_ops_replayed: replayed,
-            index_torn_bytes: recoveries.iter().map(|r| r.torn_bytes_truncated).sum(),
-            store_snapshot_loaded: store_recovery.snapshot_loaded,
-            store_wal_records_replayed: store_recovery.wal_records_replayed,
-            store_torn_bytes: store_recovery.torn_bytes_truncated,
-        };
-        Ok(Self::assemble(
-            meta,
-            slots,
-            commit_stats,
-            store,
-            backend,
-            Some(dir),
-            vfs,
-            recovery,
-        ))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        meta: E::Meta,
-        slots: Vec<(ShardData<E>, GroupCommitter)>,
-        commit_stats: Arc<CommitStats>,
-        store: Box<dyn DocBlobStore>,
-        backend: BackendKind,
-        dir: Option<PathBuf>,
-        vfs: Arc<dyn Vfs>,
-        recovery: ServerRecovery,
-    ) -> Self {
-        let shards = slots
-            .into_iter()
-            .map(|(data, committer)| ShardSlot {
-                snap: RwLock::new(Arc::new(Snapshot {
-                    tree: data.tree.clone(),
-                    applied_seq: data.applied_seq,
-                    meta: meta.clone(),
-                })),
-                data: Mutex::new(data),
-                applied: Condvar::new(),
-                committer,
-                contention: AtomicU64::new(0),
-            })
-            .collect();
-        ShardedIndex {
+        Ok(ShardedIndex {
             meta: RwLock::new(meta),
             shards,
             epoch: AtomicU64::new(0),
             commit_stats,
             store: RwLock::new(store),
             backend,
-            dir,
+            dir: Some(dir),
             vfs,
-            recovery,
+            recovery: ServerRecovery {
+                index_ops_replayed: replayed,
+                index_torn_bytes: recoveries.iter().map(|r| r.torn_bytes_truncated).sum(),
+                store_snapshot_loaded: store_recovery.snapshot_loaded,
+                store_wal_records_replayed: store_recovery.wal_records_replayed,
+                store_torn_bytes: store_recovery.torn_bytes_truncated,
+            },
             health: Arc::new(TenantHealth::new()),
-        }
+        })
     }
 
     // ---- operational surface ------------------------------------------------
