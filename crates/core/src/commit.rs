@@ -320,7 +320,7 @@ impl GroupCommitter {
     ///
     /// The caller must hold the server fully quiesced (no mutation may be
     /// staging or waiting: every in-flight pipeline holds the server's
-    /// barrier/geometry read lock, which the repair write-holds) and must
+    /// index-meta barrier for reading, which the repair write-holds) and must
     /// have re-persisted the shard's applied state so the fresh journal's
     /// contents are redundant. Clears any poison, discards staged records
     /// of failed groups (they were never acked and are not on disk in the

@@ -23,7 +23,7 @@
 //!   mutation apply to the shard tree — in sequence-number order, enforced
 //!   by a per-shard condvar — and only after applying is it acknowledged.
 //! * **Searches** never touch the shard mutex: every apply publishes an
-//!   immutable copy-on-write [`Snapshot`] ([`BpTree`] clones are O(1)
+//!   immutable copy-on-write `Snapshot` ([`BpTree`] clones are O(1)
 //!   structural shares), and reads resolve tags against it, so a search
 //!   never queues behind an in-flight fsync. A global epoch seqlock makes
 //!   multi-shard batch swaps atomic to readers: the coordinator publishes
@@ -210,7 +210,7 @@ impl<E: SchemeEntry> ShardData<E> {
 }
 
 /// The immutable view searches resolve against.
-pub struct Snapshot<E: SchemeEntry> {
+pub(crate) struct Snapshot<E: SchemeEntry> {
     pub(crate) tree: BpTree<[u8; 32], E::Value>,
     /// The highest op-seq applied to `tree`: a value derived from the
     /// snapshot stays valid exactly while the shard still publishes it.
