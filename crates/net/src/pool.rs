@@ -155,18 +155,41 @@ impl BufPool {
     /// exactly `capacity` and are counted as oversize.
     #[must_use]
     pub fn acquire(&self, capacity: usize) -> Vec<u8> {
+        self.take(capacity, 1)
+    }
+
+    /// Like [`BufPool::acquire`], for output that may grow past its
+    /// request (a response being encoded): a hit may come from any class
+    /// at or above the request's, the smallest non-empty one first. A
+    /// buffer that grew, and was re-filed under a larger class on
+    /// release, is drawn again here, so its growth is paid once.
+    ///
+    /// Inbound frames use [`BufPool::acquire`]: a connection idling on a
+    /// partial frame must hold a buffer sized to that frame, not one a
+    /// large response left behind.
+    #[must_use]
+    pub fn acquire_scratch(&self, capacity: usize) -> Vec<u8> {
+        self.take(capacity, usize::MAX)
+    }
+
+    /// Pop from the first non-empty free list among the `classes` classes
+    /// starting at the smallest that fits `capacity`.
+    fn take(&self, capacity: usize, classes: usize) -> Vec<u8> {
         let c = &self.inner.counters;
-        let Some((size, free)) = self
+        let mut fitting = self
             .inner
             .classes
             .iter()
-            .find(|(size, _)| *size >= capacity)
-        else {
+            .skip_while(|(size, _)| *size < capacity)
+            .peekable();
+        let Some(size) = fitting.peek().map(|(size, _)| *size) else {
             c.oversize.fetch_add(1, Ordering::Relaxed);
             c.misses.fetch_add(1, Ordering::Relaxed);
             return Vec::with_capacity(capacity);
         };
-        let recycled = free.lock().expect("pool free list poisoned").pop();
+        let recycled = fitting
+            .take(classes)
+            .find_map(|(_, free)| free.lock().expect("pool free list poisoned").pop());
         match recycled {
             Some(buf) => {
                 c.hits.fetch_add(1, Ordering::Relaxed);
@@ -174,7 +197,7 @@ impl BufPool {
             }
             None => {
                 c.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(*size)
+                Vec::with_capacity(size)
             }
         }
     }
@@ -542,6 +565,40 @@ mod tests {
         pool.release(buf);
         assert_eq!(pool.counters().trimmed, 1);
         assert_eq!(pool.free_buffers(), 0);
+    }
+
+    #[test]
+    fn grown_scratch_buffers_are_drawn_again() {
+        // A response encoded into 4 KiB scratch grows to 100 KiB and is
+        // re-filed under the 64 KiB class when the reactor retires it;
+        // the next response must draw it back, not allocate again.
+        let pool = BufPool::new();
+        for _ in 0..100 {
+            let mut buf = pool.acquire_scratch(4096);
+            buf.resize(100 * 1024, 7);
+            drop(pool.seal(buf));
+        }
+        let c = pool.counters();
+        assert!(c.hits >= 99, "grown buffers not reused: {c:?}");
+        assert_eq!(c.misses, 1);
+        assert!(pool.free_buffers() <= 1, "grown buffers piled up");
+    }
+
+    #[test]
+    fn scratch_prefers_the_smallest_fitting_class() {
+        let pool = tiny_pool();
+        drop(pool.seal(pool.acquire(200))); // parks in the 256 class
+        drop(pool.seal(pool.acquire(40))); // parks in the 64 class
+        let buf = pool.acquire_scratch(10);
+        assert_eq!(buf.capacity(), 64, "smallest non-empty class first");
+        // Frame acquires stay in their own class: the 16 class is empty.
+        let frame = pool.acquire(10);
+        assert_eq!(frame.capacity(), 16);
+        assert_eq!(pool.counters().misses, 3);
+        // Past the largest class, scratch is an exact oversize allocation.
+        let big = pool.acquire_scratch(10_000);
+        assert!(big.capacity() >= 10_000);
+        assert_eq!(pool.counters().oversize, 1);
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! group; the scheme keys the PRG off the *embedded* value so correctness
 //! is preserved in every profile.
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, FixedBase};
 use crate::drbg::HmacDrbg;
 use crate::error::{CryptoError, Result};
 use crate::modp::ModpGroup;
 use crate::sha256::sha256_concat;
+use std::sync::OnceLock;
 
 /// An ElGamal ciphertext `(c1, c2) = (g^k, m * y^k)`.
 #[derive(Clone, PartialEq, Eq)]
@@ -81,10 +82,16 @@ impl ElGamalCiphertext {
 /// ElGamal key pair over a MODP group.
 pub struct ElGamal {
     group: ModpGroup,
-    /// Secret exponent `x` — the trapdoor.
-    secret: BigUint,
+    /// `p - 1 - x` for the secret exponent `x` — the trapdoor, stored in
+    /// the form decryption raises to: `c1^(p-1-x) = c1^(-x)` because every
+    /// element's order divides `p - 1`, so no inverse is ever computed.
+    neg_secret: BigUint,
     /// Public element `y = g^x`.
     public: BigUint,
+    /// Lazily built fixed-base window table for `y`: with the one for `g`,
+    /// an encryption costs two table exponentiations. Boxed, so a key
+    /// stays small to move until its first encryption.
+    public_fixed: OnceLock<Box<FixedBase>>,
 }
 
 impl ElGamal {
@@ -93,10 +100,12 @@ impl ElGamal {
     pub fn keygen(group: ModpGroup, drbg: &mut HmacDrbg) -> Self {
         let secret = group.random_exponent(drbg);
         let public = group.pow_g(&secret);
+        let neg_secret = group.p.sub(&BigUint::one()).sub(&secret);
         ElGamal {
             group,
-            secret,
+            neg_secret,
             public,
+            public_fixed: OnceLock::new(),
         }
     }
 
@@ -128,11 +137,21 @@ impl ElGamal {
         debug_assert!(self.group.contains(m), "plaintext must be a group element");
         let k = self.group.random_exponent(drbg);
         let c1 = self.group.pow_g(&k);
-        let c2 = self.group.mul(m, &self.group.pow(&self.public, &k));
+        let y_k = self
+            .public_fixed
+            .get_or_init(|| {
+                Box::new(FixedBase::new(
+                    &self.public,
+                    &self.group.p,
+                    self.group.p.bit_len(),
+                ))
+            })
+            .pow(&k);
+        let c2 = self.group.mul(m, &y_k);
         ElGamalCiphertext { c1, c2 }
     }
 
-    /// Decrypt to the group element: `m = c2 * (c1^x)^{-1}`.
+    /// Decrypt to the group element: `m = c2 * c1^(p-1-x) = c2 * (c1^x)^{-1}`.
     ///
     /// # Errors
     /// [`CryptoError::OutOfRange`] if a component is not a group element.
@@ -140,8 +159,8 @@ impl ElGamal {
         if !self.group.contains(&ct.c1) || !self.group.contains(&ct.c2) {
             return Err(CryptoError::OutOfRange("ciphertext component"));
         }
-        let s = self.group.pow(&ct.c1, &self.secret);
-        Ok(self.group.mul(&ct.c2, &self.group.inv(&s)))
+        let s_inv = self.group.pow(&ct.c1, &self.neg_secret);
+        Ok(self.group.mul(&ct.c2, &s_inv))
     }
 
     /// Embed a 32-byte nonce into a group element.

@@ -31,6 +31,14 @@
 //! encryption runs in hardware instead, which has no secret-dependent table
 //! lookups; the portable key schedule and decryption are still table-based.
 //!
+//! The ElGamal arithmetic has the same kind of leak. The variable-base
+//! ladder ([`bignum::Montgomery::pow`]) follows a regular schedule — four
+//! squarings and one table multiply per 4-bit window, whatever the digit —
+//! and each Montgomery product ends in a branch-free subtraction. But the
+//! table entry it loads is indexed by the secret digit, and its window
+//! count follows the exponent's bit length. The fixed-base tables
+//! ([`bignum::FixedBase`]) index by digit too, and skip zero digits.
+//!
 //! ## Hardware kernels
 //!
 //! On x86_64, SHA-256 compression and AES-128 encryption run on SHA-NI and

@@ -4,14 +4,17 @@
 
 use proptest::prelude::*;
 use sse_primitives::aes::Aes128;
-use sse_primitives::bignum::BigUint;
+use sse_primitives::bignum::{BigUint, FixedBase, Montgomery};
 use sse_primitives::chacha20::prg_expand;
 use sse_primitives::ct;
 use sse_primitives::ctr::{ctr_decrypt, ctr_encrypt};
 use sse_primitives::drbg::HmacDrbg;
+use sse_primitives::elgamal::{ElGamal, ElGamalCiphertext};
+use sse_primitives::error::CryptoError;
 use sse_primitives::etm::EtmKey;
 use sse_primitives::hashchain::HashChain;
 use sse_primitives::hmac::hmac_sha256;
+use sse_primitives::modp::ModpGroup;
 use sse_primitives::sha256::{sha256, Sha256};
 
 fn biguint(max_bytes: usize) -> impl Strategy<Value = BigUint> {
@@ -215,6 +218,153 @@ proptest! {
             let mut b = HmacDrbg::from_u64(s2);
             let mut fresh = HmacDrbg::from_u64(s1);
             prop_assert_ne!(fresh.gen_key(), b.gen_key());
+        }
+    }
+}
+
+/// A random odd modulus of exactly `limbs` 64-bit limbs. The top limb has
+/// a random bit length, so single-limb moduli reach down to 3 — or, one
+/// time in four, is all ones like the RFC 3526 primes, which drives the
+/// Montgomery product into its carry limb.
+fn odd_modulus(limbs: usize, drbg: &mut HmacDrbg) -> BigUint {
+    let mut bytes = vec![0u8; limbs * 8];
+    drbg.fill(&mut bytes);
+    let top_bits = 2 + drbg.gen_range(63) as u32;
+    let top = u64::from_be_bytes(bytes[..8].try_into().unwrap());
+    let top = if drbg.gen_range(4) == 0 {
+        u64::MAX
+    } else {
+        (top & (u64::MAX >> (64 - top_bits))) | (1 << (top_bits - 1))
+    };
+    bytes[..8].copy_from_slice(&top.to_be_bytes());
+    *bytes.last_mut().unwrap() |= 1;
+    BigUint::from_bytes_be(&bytes)
+}
+
+/// A uniformly random value of up to `bits` bits.
+fn random_bits(bits: usize, drbg: &mut HmacDrbg) -> BigUint {
+    BigUint::random_below(drbg, &BigUint::one().shl(bits))
+}
+
+/// `2^bits - 1`.
+fn all_ones(bits: usize) -> BigUint {
+    BigUint::one().shl(bits).sub(&BigUint::one())
+}
+
+/// `mod_pow` and `Montgomery::{pow, mul}` against the division-based
+/// oracle, over edge and random bases (reduced or not) and exponents.
+fn check_pow_against_oracle(m: &BigUint, drbg: &mut HmacDrbg) {
+    let bits = m.bit_len();
+    let bases = [
+        BigUint::zero(),
+        BigUint::one(),
+        m.sub(&BigUint::one()),
+        BigUint::random_below(drbg, m),
+        // Unreduced: in [m, 2m) and twice the modulus's width.
+        m.add(&BigUint::random_below(drbg, m)),
+        random_bits(2 * bits, drbg),
+    ];
+    let exponents = [
+        BigUint::zero(),
+        BigUint::one(),
+        all_ones(1 + drbg.gen_range(130) as usize),
+        random_bits(1 + drbg.gen_range(130) as usize, drbg),
+    ];
+    let ctx = Montgomery::new(m);
+    for base in &bases {
+        for exp in &exponents {
+            let want = base.mod_pow_plain(exp, m);
+            assert_eq!(base.mod_pow(exp, m), want, "{base:?}^{exp:?} mod {m:?}");
+            assert_eq!(ctx.pow(base, exp), want, "{base:?}^{exp:?} mod {m:?}");
+        }
+        assert_eq!(ctx.mul(base, &bases[3]), base.mod_mul(&bases[3], m));
+    }
+}
+
+// Differential tests of the Montgomery kernel against the division-based
+// `mod_pow_plain` oracle. Fewer cases than above: the oracle is slow on
+// wide moduli in debug builds.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn montgomery_pow_matches_plain_oracle(limbs in 1usize..=33, seed in any::<u64>()) {
+        let mut drbg = HmacDrbg::from_u64(seed);
+        // Every case also covers 4 limbs, the width with its own kernel.
+        for limbs in [limbs, 4] {
+            check_pow_against_oracle(&odd_modulus(limbs, &mut drbg), &mut drbg);
+        }
+    }
+
+    #[test]
+    fn montgomery_pow_takes_exponents_longer_than_the_modulus(
+        limbs in 1usize..=3, extra in 1usize..=130, seed in any::<u64>()
+    ) {
+        let mut drbg = HmacDrbg::from_u64(seed);
+        let m = odd_modulus(limbs, &mut drbg);
+        let base = BigUint::random_below(&mut drbg, &m);
+        for exp in [
+            random_bits(m.bit_len() + extra, &mut drbg),
+            all_ones(m.bit_len() + extra),
+        ] {
+            prop_assert_eq!(base.mod_pow(&exp, &m), base.mod_pow_plain(&exp, &m));
+        }
+    }
+
+    #[test]
+    fn fixed_base_matches_oracle_within_and_past_its_table(
+        limbs in 1usize..=8, table_bits in 1usize..=96, seed in any::<u64>()
+    ) {
+        let mut drbg = HmacDrbg::from_u64(seed);
+        let m = odd_modulus(limbs, &mut drbg);
+        // The table reduces an unreduced base itself.
+        let base = random_bits(m.bit_len() + 8, &mut drbg);
+        let fb = FixedBase::new(&base, &m, table_bits);
+        let covered = table_bits.div_ceil(4) * 4;
+        for exp in [
+            BigUint::zero(),
+            BigUint::one(),
+            all_ones(covered),
+            random_bits(covered, &mut drbg),
+            // Past the table: the generic ladder takes over.
+            all_ones(covered + 1),
+            random_bits(covered + 1 + drbg.gen_range(70) as usize, &mut drbg),
+        ] {
+            prop_assert_eq!(fb.pow(&exp), base.mod_pow_plain(&exp, &m));
+        }
+    }
+
+    #[test]
+    fn elgamal_decryption_matches_the_inverse_oracle(key_seed in any::<u64>(), seed in any::<u64>()) {
+        let group = ModpGroup::modp_256();
+        let p = group.p.clone();
+        let eg = ElGamal::keygen(group.clone(), &mut HmacDrbg::from_u64(key_seed));
+        // keygen's first draw is the secret exponent: replay it.
+        let x = group.random_exponent(&mut HmacDrbg::from_u64(key_seed));
+        prop_assert_eq!(group.g.mod_pow_plain(&x, &p), eg.public().clone());
+
+        let mut drbg = HmacDrbg::from_u64(seed);
+        let one = BigUint::one();
+        let c1 = BigUint::random_range(&mut drbg, &one, &p);
+        let c2 = BigUint::random_range(&mut drbg, &one, &p);
+        let s_inv = c1.mod_pow_plain(&x, &p).mod_inverse(&p).unwrap();
+        let want = c2.mod_mul(&s_inv, &p);
+        let ct = ElGamalCiphertext { c1: c1.clone(), c2: c2.clone() };
+        prop_assert_eq!(eg.decrypt_element(&ct).unwrap(), want);
+
+        // Components outside [1, p) are still rejected, either side.
+        let above = p.add(&BigUint::random_below(&mut drbg, &p));
+        for (c1, c2) in [
+            (BigUint::zero(), c2.clone()),
+            (above.clone(), c2.clone()),
+            (p.clone(), c2.clone()),
+            (c1.clone(), BigUint::zero()),
+            (c1, above),
+        ] {
+            prop_assert_eq!(
+                eg.decrypt_element(&ElGamalCiphertext { c1, c2 }),
+                Err(CryptoError::OutOfRange("ciphertext component"))
+            );
         }
     }
 }

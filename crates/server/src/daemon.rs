@@ -68,9 +68,10 @@ pub const DEFAULT_MAX_CONNS: usize = 100_000;
 pub const DEFAULT_WRITE_QUEUE_LIMIT: usize = 64 * 1024 * 1024;
 
 /// Acquire size for a worker's pooled response scratch buffer. One pool
-/// class (4 KiB) covers typical search results; a bigger response grows
-/// the buffer once and the pool re-files it under its new class when the
-/// reactor retires it, so the high-water capacity is kept, not re-paid.
+/// class (4 KiB) covers typical search results. A bigger response grows
+/// the buffer, and the pool re-files it under its new class when the
+/// reactor retires it; [`BufPool::acquire_scratch`] draws from that class
+/// again, so the growth is paid once, not per response.
 const RESPONSE_SCRATCH_CAPACITY: usize = 4096;
 
 /// Daemon configuration.
@@ -732,6 +733,15 @@ fn process_job(job: Job, fanout: &Arc<SearchFanout>, stats: &Arc<ServingStats>) 
         ..
     } = job;
     let bytes_in = payload.len();
+    // Pooled mode closes the loop on the response side too: encode into
+    // a recycled pool buffer, which `send` seals so the reactor's gather
+    // write recycles it again.
+    let scratch = || match &responder {
+        Responder::Reactor {
+            pool: Some(pool), ..
+        } => pool.acquire_scratch(RESPONSE_SCRATCH_CAPACITY),
+        _ => Vec::new(),
+    };
     // A panicking scheme handler must cost its request, not this worker
     // thread: an uncaught unwind here would shrink the pool until the
     // daemon deadlocks with jobs queued and no workers. parking_lot locks
@@ -741,19 +751,8 @@ fn process_job(job: Job, fanout: &Arc<SearchFanout>, stats: &Arc<ServingStats>) 
         // SEARCH_MANY takes the payload by value: the executor shares the
         // (pooled, zero-copy) buffer with helper workers via Arc instead
         // of spawning scoped threads that could borrow it.
-        KIND_SEARCH_MANY => fanout.search_many(&tenant, payload),
-        _ => {
-            // Pooled mode closes the loop on the response side too:
-            // encode into a recycled pool buffer, which `send` seals
-            // so the reactor's gather write recycles it again.
-            let scratch = match &responder {
-                Responder::Reactor {
-                    pool: Some(pool), ..
-                } => pool.acquire(RESPONSE_SCRATCH_CAPACITY),
-                _ => Vec::new(),
-            };
-            Some(tenant.handle_shared_with(&payload, scratch))
-        }
+        KIND_SEARCH_MANY => fanout.search_many(&tenant, payload, scratch()),
+        _ => Some(tenant.handle_shared_with(&payload, scratch())),
     }));
     match outcome {
         Ok(Some(response)) => {

@@ -224,7 +224,15 @@ pub fn decode_request(body: &[u8]) -> Option<(u8, u32, &[u8])> {
 /// `[len u32][part bytes]`.
 #[must_use]
 pub fn encode_batch(parts: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + parts.iter().map(|p| 4 + p.len()).sum::<usize>());
+    encode_batch_into(Vec::new(), parts)
+}
+
+/// [`encode_batch`] into `out` (cleared first), so the envelope can be
+/// built in a pooled buffer.
+#[must_use]
+pub fn encode_batch_into(mut out: Vec<u8>, parts: &[Vec<u8>]) -> Vec<u8> {
+    out.clear();
+    out.reserve(4 + parts.iter().map(|p| 4 + p.len()).sum::<usize>());
     out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
     for part in parts {
         out.extend_from_slice(&(part.len() as u32).to_le_bytes());

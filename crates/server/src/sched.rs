@@ -489,8 +489,14 @@ impl SearchFanout {
 
     /// Serve one `SEARCH_MANY` payload on the calling worker, drawing
     /// idle pool workers in as helpers. Returns the position-aligned
-    /// response batch, or `None` for a malformed batch envelope.
-    pub(crate) fn search_many(&self, tenant: &TenantHandle, payload: PooledBuf) -> Option<Vec<u8>> {
+    /// response batch, encoded into `out`, or `None` for a malformed
+    /// batch envelope.
+    pub(crate) fn search_many(
+        &self,
+        tenant: &TenantHandle,
+        payload: PooledBuf,
+        out: Vec<u8>,
+    ) -> Option<Vec<u8>> {
         let ranges = crate::proto::decode_batch_ranges(&payload)?;
         // Participants are pool workers (the owner plus idle helpers),
         // not fresh threads, so the pool size — not the machine's core
@@ -505,7 +511,7 @@ impl SearchFanout {
                 .iter()
                 .map(|r| tenant.handle_part_caught(&payload[r.clone()]))
                 .collect();
-            return Some(crate::proto::encode_batch(&responses));
+            return Some(crate::proto::encode_batch_into(out, &responses));
         }
         let len = ranges.len();
         let batch = Arc::new(FanoutBatch {
@@ -530,7 +536,7 @@ impl SearchFanout {
         while batch.claim_and_run() {}
         self.retire(&batch);
         let results = batch.wait_done();
-        Some(crate::proto::encode_batch(&results))
+        Some(crate::proto::encode_batch_into(out, &results))
     }
 
     /// Called by an idle worker (empty queues, nothing stealable): claim

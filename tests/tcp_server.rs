@@ -181,6 +181,43 @@ fn admin_stats_are_queryable_over_the_wire() {
     daemon.shutdown();
 }
 
+/// Responses bigger than the 4 KiB scratch class grow their buffer once;
+/// the pool must hand that grown buffer to the next response instead of
+/// parking it where nothing draws from it — single searches and
+/// `SEARCH_MANY` envelopes alike.
+#[test]
+fn repeated_large_responses_reuse_pooled_buffers() {
+    let daemon = Daemon::spawn(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let transport = TcpTransport::connect(daemon.local_addr(), "big", SchemeId::Scheme2).unwrap();
+    let mut sse = Scheme2Client::new_seeded(
+        transport,
+        MasterKey::from_seed(5),
+        Scheme2Config::standard(),
+        5,
+    );
+    sse.store(&[Document::new(0, vec![0x42; 100 * 1024], ["big"])])
+        .unwrap();
+    let big = Keyword::new("big");
+    let warm = daemon.stats().pool_misses;
+    for _ in 0..100 {
+        assert_eq!(sse.search(&big).unwrap().len(), 1);
+        assert_eq!(
+            sse.search_batch(&[big.clone(), big.clone()]).unwrap().len(),
+            2
+        );
+    }
+    let misses = daemon.stats().pool_misses - warm;
+    assert!(
+        misses <= 8,
+        "200 large responses cost {misses} pool misses: grown buffers are not reused"
+    );
+    daemon.shutdown();
+}
+
 /// The acceptance round-trip for durable serving: two tenants populate
 /// their databases over TCP, the daemon shuts down (checkpointing), a new
 /// daemon reopens the same data directory, and both tenants' searches
